@@ -23,7 +23,6 @@ from .initial_cases import (
     RESULTS_TABLE,
     count_family,
     count_surviving,
-    enumerate_family,
     max_p_plus_1,
     run_initial_cases,
 )
@@ -38,7 +37,6 @@ from .systems import (
     is_standard_form,
     standard_form,
     vdim,
-    verify_split,
 )
 from .textio import ParseError, parse_diagram, parse_system
 
@@ -50,10 +48,10 @@ __all__ = [
     "vdim_space", "EngineConfig", "classify", "classify_space",
     "PrimeFieldConfig", "build_matrix", "certify_nonspecial_rank", "rank",
     "FamilySpec", "InitialCasesReport", "RESULTS_TABLE", "count_family",
-    "count_surviving", "enumerate_family", "max_p_plus_1",
+    "count_surviving", "max_p_plus_1",
     "run_initial_cases", "LedgerEntry", "load_entries", "run_ledger",
     "verify_entry", "LinearSystem", "Verdict", "cremona", "edim",
     "format_system", "glue", "is_standard_form", "standard_form", "vdim",
-    "verify_split", "ParseError", "parse_diagram", "parse_system",
+    "ParseError", "parse_diagram", "parse_system",
     "__version__",
 ]

@@ -51,16 +51,3 @@ class ResultCache:
             with self.path.open("a") as fh:
                 fh.write(json.dumps({"key": key, "record": record},
                                     sort_keys=True) + "\n")
-
-
-class NullCache(ResultCache):
-    """Bypasses the cache in both directions."""
-
-    def __init__(self):
-        super().__init__(None)
-
-    def get(self, key: str) -> dict | None:
-        return None
-
-    def put(self, key: str, record: dict) -> None:
-        pass

@@ -8,7 +8,7 @@ import sys
 import click
 
 from . import __version__
-from .cache import NullCache, ResultCache, record_key
+from .cache import ResultCache, record_key
 from .diagrams import ReductionTrace, triangle
 from .engine import EngineConfig, classify
 from .fplinalg import PrimeFieldConfig, build_matrix, sample_points, task_rng
@@ -51,7 +51,7 @@ def main(ctx: click.Context, as_json: bool, cache_path: str | None,
          no_cache: bool) -> None:
     """Certify non-specialty, emptiness or -1-specialty of linear systems
     of plane curves with fat base points."""
-    cache = NullCache() if (no_cache or not cache_path) else ResultCache(cache_path)
+    cache = ResultCache(None if no_cache else cache_path)
     ctx.obj = {"json": as_json, "cache": cache}
 
 
@@ -131,7 +131,8 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
             "attempts": attempts,
             "version": __version__,
         }
-        cache.put(key, record)
+        if v.kind != INCONCLUSIVE:  # a --max-cols cap must not outlive its run
+            cache.put(key, record)
     payload = dict(record, cached=cached)
     verdict = record["verdict"]
     methods = [s["op"] for s in verdict["steps"]]

@@ -1,16 +1,26 @@
-"""End-to-end classification pipeline for a concrete linear system.
+"""Classification of a linear system: a front end over one space cascade.
 
-Stages, cheapest first: standard form (Cremona chain), the
-negative-multiplicity rules, the axiom knowledge base, the reduction
-chain on the full triangle of monomials, and finally the randomized
-rank certificate.  The first conclusive stage wins; the verdict carries
-a replayable trace of every step taken.
+``classify`` is the front end for a system L(d; m1,...,mr).  Its stages,
+cheapest first, are standard form (the Cremona chain; a negative degree
+means Empty), the negative-multiplicity rules (strip the negative
+entries, classify what is left, and read -1-specialty off multiple fixed
+components) and the axiom knowledge base.  A system none of them settles
+has d >= 0 and non-negative multiplicities.  It is the projectivization
+of the space V(triangle(d+1); mults) of polynomials of degree at most d,
+so it goes to ``classify_space``, and a space dimension n comes back as
+dimension n - 1 (n = 0 means Empty).
+
+``classify_space`` holds the one reduce -> enlarge -> rank cascade: the
+reduction chain, the enlarge-to-a-triangle emptiness test, and the
+randomized rank certificate on the reduced diagram and then on the full
+one.  The first conclusive stage wins; the verdict carries a replayable
+trace of every step taken.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import diagrams, systems
+from . import diagrams
 from .diagrams import Diagram, triangle, try_empty_by_enlarge, vdim_space
 from .fplinalg import PrimeFieldConfig, certify_nonspecial_rank
 from .systems import (
@@ -23,20 +33,22 @@ from .systems import (
     Verdict,
     classify_by_axioms,
     classify_by_simple_points,
-    edim,
     standard_form,
     strip_negative_mults,
-    vdim,
 )
 
 ALL_STAGES = ("standard_form", "negative", "axioms", "reduction", "rank")
+
+# Guard on the strip-negative recursion.  Every round after the first
+# follows a Cremona step that lowers the degree, so d + 2 rounds suffice;
+# the guard only keeps huge degrees off the interpreter's stack.
+_MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     field_cfg: PrimeFieldConfig = field(default_factory=PrimeFieldConfig)
     max_cols: int = 2000
-    max_depth: int = 10
     stages: tuple[str, ...] = ALL_STAGES
 
 
@@ -47,7 +59,7 @@ def _empty(steps) -> Verdict:
 def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) -> Verdict:
     """Classify L as NonSpecial(dim) / Empty / MinusOneSpecial, or give up."""
     cfg = cfg or EngineConfig()
-    if _depth > cfg.max_depth:
+    if _depth > _MAX_DEPTH:
         return Verdict(INCONCLUSIVE, reason="recursion depth exceeded")
     steps: list[Step] = []
     cur = L
@@ -60,7 +72,8 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
             )
         if cur.degree < 0:
             return _empty(steps + [Step("negative_degree", {}, before=str(cur))])
-    if "negative" in cfg.stages and any(m < 0 for m in cur.mults):
+    if "negative" in cfg.stages and cur.degree >= 0 and any(m < 0 for m in cur.mults):
+        cur = cur.sorted_desc()
         stripped, fixed = strip_negative_mults(cur)
         steps.append(
             Step("strip_negative", {"components": list(fixed.components)},
@@ -94,52 +107,11 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
             v = None  # not in standard form (possible under restricted stages)
         if v is not None:
             return v.prepend(tuple(steps))
-    trace = None
-    vs = vdim(canon) + 1  # cells minus conditions on the full triangle
-    if "reduction" in cfg.stages and canon.degree >= 0:
-        D = triangle(canon.degree + 1)
-        trace = diagrams.reduce_chain(D, canon.mults)
-        if trace.consumed_all:
-            steps.append(_reduction_step(trace))
-            assert trace.final.cells == vs
-            if vs == 0:
-                return _empty(steps)
-            return Verdict(NON_SPECIAL, dim=vs - 1, certificate=tuple(steps))
-        if vs <= 0:
-            cert = try_empty_by_enlarge(trace.final, trace.residual_mults)
-            if cert is not None:
-                steps.append(_reduction_step(trace))
-                steps.append(
-                    Step("enlarge", {"to": str(cert.enlarged)},
-                         before=str(cert.original))
-                )
-                steps.append(_reduction_step(cert.trace))
-                return _empty(steps)
-    if "rank" in cfg.stages and canon.degree >= 0:
-        D = triangle(canon.degree + 1)
-        if D.cells > cfg.max_cols:
-            return Verdict(
-                INCONCLUSIVE,
-                reason=f"matrix would have {D.cells} columns (cap {cfg.max_cols})",
-                certificate=tuple(steps),
-            )
-        candidates = []
-        if trace is not None and trace.steps and not trace.consumed_all:
-            candidates.append((trace.final, trace.residual_mults, trace))
-        candidates.append((D, canon.mults, None))
-        for target, mults, pre in candidates:
-            v = certify_nonspecial_rank(target, mults, cfg.field_cfg)
-            if v.kind == NON_SPECIAL:
-                local = list(steps)
-                if pre is not None:
-                    local.append(_reduction_step(pre))
-                local.extend(v.certificate)
-                # full rank means the space dimension equals max(vs, 0)
-                if vs <= 0:
-                    return _empty(local)
-                return Verdict(NON_SPECIAL, dim=vs - 1, certificate=tuple(local))
-    return Verdict(INCONCLUSIVE, reason="all stages inconclusive",
-                   certificate=tuple(steps))
+    # L is the projectivization of V(triangle(d+1); mults): one dimension less.
+    v = classify_space(triangle(canon.degree + 1), canon.mults, cfg)
+    if v.kind == NON_SPECIAL:
+        v = replace(v, kind=EMPTY if v.dim == 0 else NON_SPECIAL, dim=v.dim - 1)
+    return v.prepend(tuple(steps))
 
 
 def _reduction_step(trace: diagrams.ReductionTrace) -> Step:
@@ -165,22 +137,20 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
         raise ValueError("classify_space needs non-negative multiplicities")
     D = D.canonical()
     vs = vdim_space(D, mults)
-    steps: list[Step] = []
     trace = None
     if "reduction" in cfg.stages:
         trace = diagrams.reduce_chain(D, mults)
         if trace.consumed_all:
-            steps.append(_reduction_step(trace))
             return Verdict(NON_SPECIAL, dim=trace.final.cells,
-                           certificate=tuple(steps))
+                           certificate=(_reduction_step(trace),))
         if vs <= 0:
             cert = try_empty_by_enlarge(trace.final, trace.residual_mults)
             if cert is not None:
-                steps.append(_reduction_step(trace))
-                steps.append(Step("enlarge", {"to": str(cert.enlarged)},
-                                  before=str(cert.original)))
-                steps.append(_reduction_step(cert.trace))
-                return Verdict(NON_SPECIAL, dim=0, certificate=tuple(steps))
+                steps = (_reduction_step(trace),
+                         Step("enlarge", {"to": str(cert.enlarged)},
+                              before=str(cert.original)),
+                         _reduction_step(cert.trace))
+                return Verdict(NON_SPECIAL, dim=0, certificate=steps)
     if "rank" in cfg.stages:
         if D.cells > cfg.max_cols:
             return Verdict(INCONCLUSIVE,
@@ -193,19 +163,7 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
         for target, ms, pre in candidates:
             v = certify_nonspecial_rank(target, ms, cfg.field_cfg)
             if v.kind == NON_SPECIAL:
-                local = list(steps)
-                if pre is not None:
-                    local.append(_reduction_step(pre))
-                local.extend(v.certificate)
+                steps = (_reduction_step(pre),) if pre is not None else ()
                 return Verdict(NON_SPECIAL, dim=max(vs, 0),
-                               certificate=tuple(local))
+                               certificate=steps + v.certificate)
     return Verdict(INCONCLUSIVE, reason="all stages inconclusive")
-
-
-def dim_lower_bound_step(L: LinearSystem) -> LinearSystem | None:
-    """Degree-drop argument: certifying L(d-1; M) non-special with
-    vdim >= -1 pins dim L(d; M) to its expected dimension."""
-    cand = LinearSystem(L.degree - 1, L.mults)
-    if vdim(cand) >= -1:
-        return cand
-    return None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator
 
-from .diagrams import Diagram, bar, p_of, reduce_m, triangle
+from .diagrams import Diagram, bar, p_of, reduce_chain, triangle
 from .fplinalg import PrimeFieldConfig, certify_nonspecial_rank
 from .systems import NON_SPECIAL
 
@@ -111,11 +111,6 @@ def tail_diagram(spec: FamilySpec, tail: tuple[int, ...]) -> Diagram:
     return bar(spec.a, *(([spec.a] * spec.k) + list(tail)))
 
 
-def enumerate_family(spec: FamilySpec) -> Iterator[Diagram]:
-    for t in tails(spec):
-        yield tail_diagram(spec, t)
-
-
 def throwout_tail(spec: FamilySpec, tail: tuple[int, ...]) -> bool:
     """Keep iff every consecutive tail pair satisfies the throwout
     inequality (pairs against the repeated source prefix hold trivially)."""
@@ -123,13 +118,6 @@ def throwout_tail(spec: FamilySpec, tail: tuple[int, ...]) -> bool:
         _star_ok(spec, pos + 1, tail[pos], tail[pos + 1])
         for pos in range(len(tail) - 1)
     )
-
-
-def throwout_filter(D: Diagram, spec: FamilySpec) -> bool:
-    layers = D.canonical().layers
-    prefix = spec.a + spec.k
-    tail = layers[prefix:] + (0,) * (spec.m - 1 - (len(layers) - prefix))
-    return throwout_tail(spec, tail)
 
 
 def _count(spec: FamilySpec, with_throwout: bool) -> int:
@@ -251,19 +239,6 @@ class InitialCasesReport:
         return "\n".join(lines)
 
 
-def _reduce_times(D: Diagram, m: int, times: int) -> Diagram | None:
-    cur = D
-    for _ in range(times):
-        try:
-            res = reduce_m(cur, m)
-        except Exception:
-            return None
-        if res is None:
-            return None
-        cur = res[0]
-    return cur
-
-
 def _certify_group(args: tuple) -> tuple[tuple[int, ...], bool]:
     """Certify V(R; m^p(R)) and V(R; m^(p(R)+1)) non-special by rank."""
     layers, m, cfg = args
@@ -313,11 +288,11 @@ def run_initial_cases(
         groups: dict[tuple[int, ...], list[Diagram]] = {}
         unreduced: list[Diagram] = []
         for D in pending:
-            R = _reduce_times(D, spec.m, level) if level > 0 else D
-            if R is None:
-                unreduced.append(D)
+            trace = reduce_chain(D, (spec.m,) * level)
+            if trace.consumed_all:
+                groups.setdefault(trace.final.layers, []).append(D)
             else:
-                groups.setdefault(R.layers, []).append(D)
+                unreduced.append(D)
         keys = sorted(groups)
         tasks = [(k, spec.m, cfg) for k in keys]
         if jobs > 1 and len(tasks) > 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterator
 
-from .engine import EngineConfig, classify, dim_lower_bound_step
+from .engine import EngineConfig, classify
 from .systems import (
     EMPTY,
     INCONCLUSIVE,
@@ -53,7 +53,6 @@ class LedgerEntry:
     m_spec: object = None
     system: str | None = None
     script: str | None = None
-    glues: object = None
     glues_per_phase: int = 1
     glue_s: int = 4
     target_offset: int = 1
@@ -87,7 +86,6 @@ def load_entries() -> list[LedgerEntry]:
                 m_spec=rec.get("m"),
                 system=rec.get("system"),
                 script=rec.get("script"),
-                glues=rec.get("glues"),
                 glues_per_phase=rec.get("glues_per_phase", 1),
                 glue_s=rec.get("glue_s", 4),
                 target_offset=rec.get("target_offset", 1),
@@ -269,6 +267,15 @@ def _script_glue3(L: LinearSystem, cfg: EngineConfig, small_text: str,
                                 "vdim_before": vdim(L), "vdim_after": vdim(L2),
                                 "vdim_small": vdim(small)}])
     return ex
+
+
+def dim_lower_bound_step(L: LinearSystem) -> LinearSystem | None:
+    """Degree-drop argument: certifying L(d-1; M) non-special with
+    vdim >= -1 pins dim L(d; M) to its expected dimension."""
+    cand = LinearSystem(L.degree - 1, L.mults)
+    if vdim(cand) >= -1:
+        return cand
+    return None
 
 
 def _script_degree_drop(L: LinearSystem, cfg: EngineConfig,

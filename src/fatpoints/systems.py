@@ -6,12 +6,11 @@ may be negative; the intersection-theoretic dictionary on the blow-up
 makes sense of both.  This module provides the basic arithmetic
 (virtual/expected dimension), the Cremona transformation and standard
 form, the negative-multiplicity rules, the axiom knowledge base used for
-final classification, and the glueing/splitting bookkeeping.
+final classification, and the glueing bookkeeping.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb
 
 # Verdict kinds
 NON_SPECIAL = "NonSpecial"
@@ -278,7 +277,7 @@ def classify_by_simple_points(L: LinearSystem) -> Verdict | None:
 
 
 # ---------------------------------------------------------------------
-# glueing and splitting
+# glueing
 
 
 class GlueError(ValueError):
@@ -324,48 +323,3 @@ def glue(
     small = LinearSystem(k, (m,) * s)
     assert v2 - v1 == -(vdim(small) + 1)
     return L2
-
-
-def verify_split(
-    L: LinearSystem,
-    L1: LinearSystem,
-    L2: LinearSystem,
-    cert1: Verdict,
-    cert2: Verdict,
-) -> Verdict:
-    """Combine non-specialty of L1 and L2 into non-specialty of L.
-
-    L1 carries a sub-multiset of L's conditions; L2 carries the rest
-    plus one condition of multiplicity deg(L1)+1.  The combination is
-    valid when (vdim L1 + 1)(vdim L2 + 1) >= 0.
-    """
-    if L2.degree != L.degree:
-        raise ValueError("L2 must have the same degree as L")
-    from collections import Counter
-
-    k = L1.degree
-    c2 = Counter(m for m in L2.mults if m != 0)
-    if c2[k + 1] < 1:
-        raise ValueError(f"L2 must contain one multiplicity {k + 1}")
-    c2[k + 1] -= 1
-    total = Counter(m for m in L1.mults if m != 0) + c2
-    if total != Counter(m for m in L.mults if m != 0):
-        raise ValueError("multiplicities of L1 and L2 do not recombine to L")
-    if not (cert1.certifies_nonspecial and cert2.certifies_nonspecial):
-        return Verdict(INCONCLUSIVE, reason="missing non-specialty certificate")
-    v1, v2 = vdim(L1), vdim(L2)
-    if (v1 + 1) * (v2 + 1) < 0:
-        return Verdict(INCONCLUSIVE, reason=f"({v1}+1)({v2}+1) < 0")
-    e = edim(L)
-    step = Step(
-        "split",
-        {"L1": str(L1), "L2": str(L2), "vdim1": v1, "vdim2": v2},
-        before=str(L),
-    )
-    kind = EMPTY if e == -1 else NON_SPECIAL
-    return Verdict(
-        kind,
-        dim=e,
-        certificate=(step,) + cert1.certificate + cert2.certificate,
-        axioms_used=tuple(dict.fromkeys(cert1.axioms_used + cert2.axioms_used)),
-    )

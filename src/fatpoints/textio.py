@@ -29,7 +29,6 @@ _COUNT = re.compile(r"\d+")
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
-        self.raw = text
         self.pos = 0
 
     def skip_ws(self) -> None:
@@ -39,7 +38,7 @@ class _Scanner:
     def expect(self, lit: str) -> None:
         self.skip_ws()
         if not self.text.startswith(lit, self.pos):
-            raise ParseError(self.raw, self.pos, f"expected {lit!r}")
+            raise ParseError(self.text, self.pos, f"expected {lit!r}")
         self.pos += len(lit)
 
     def peek(self, lit: str) -> bool:
@@ -56,14 +55,14 @@ class _Scanner:
         self.skip_ws()
         m = pattern.match(self.text, self.pos)
         if not m:
-            raise ParseError(self.raw, self.pos, "expected an integer")
+            raise ParseError(self.text, self.pos, "expected an integer")
         self.pos = m.end()
         return int(m.group())
 
     def done(self) -> None:
         self.skip_ws()
         if self.pos != len(self.text):
-            raise ParseError(self.raw, self.pos, "unexpected trailing input")
+            raise ParseError(self.text, self.pos, "unexpected trailing input")
 
 
 def _items(sc: _Scanner, allow_negative: bool) -> list[int]:

@@ -76,6 +76,16 @@ class TestCache:
                 "classify", "L(28;12,8^9)")
         assert json.loads(r.output)["cached"] is False
 
+    def test_capped_inconclusive_is_not_served_later(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        args = ("--cache", path, "classify", "--stages", "rank")
+        capped = run(*args, "--max-cols", "10", "L(9;1)")
+        assert capped.exit_code == 2 and "cap 10" in capped.output
+        r = run("--json", *args, "L(9;1)")
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["cached"] is False and out["verdict"]["kind"] == "NonSpecial"
+
     def test_corrupt_line_is_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("not json\n")

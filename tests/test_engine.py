@@ -1,20 +1,18 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from fatpoints.diagrams import triangle
-from fatpoints.engine import (
-    EngineConfig,
-    classify,
-    classify_space,
-    dim_lower_bound_step,
-)
+from fatpoints.engine import ALL_STAGES, EngineConfig, classify, classify_space
 from fatpoints.systems import (
     EMPTY,
     INCONCLUSIVE,
     MINUS_ONE_SPECIAL,
     NON_SPECIAL,
     LinearSystem,
+    Verdict,
     edim,
 )
 from fatpoints.textio import parse_system
@@ -56,9 +54,25 @@ class TestClassify:
         assert v.kind == EMPTY
 
     def test_recursion_depth_guard(self):
-        cfg = EngineConfig(max_depth=0)
-        v = classify(parse_system("L(4;2^5)"), cfg)
-        assert v.kind == INCONCLUSIVE
+        # one strip-negative round per unit of degree: a huge degree ends
+        # in Inconclusive, not in RecursionError
+        v = classify(parse_system("L(1200;1201,-1)"))
+        assert v.kind == INCONCLUSIVE and v.reason == "recursion depth exceeded"
+
+    @pytest.mark.parametrize("text", ["L(10;11,-1,0)", "L(10;0,-2,11,-1)",
+                                      "L(13;14,-1,-2)"])
+    def test_point_above_degree_with_negative_points_is_empty(self, text):
+        v = classify(parse_system(text))
+        assert v.kind == EMPTY and v.dim == -1
+
+    @pytest.mark.parametrize("stages", [
+        s for n in range(1, len(ALL_STAGES) + 1)
+        for s in combinations(ALL_STAGES, n)], ids=",".join)
+    def test_every_stage_subset_returns_a_verdict(self, stages):
+        cfg = EngineConfig(stages=stages)
+        for text in ["L(5;-2,3)", "L(-1;-2)", "L(-2;3,-1)", "L(4;4,-3,4,-3,1)",
+                     "L(6;1,3,2)", "L(8;2,3,-3,1,-1,0,-3,1,-2)"]:
+            assert isinstance(classify(parse_system(text), cfg), Verdict)
 
     def test_column_cap(self):
         cfg = EngineConfig(stages=("rank",), max_cols=10)
@@ -79,13 +93,3 @@ class TestClassifySpace:
         cfg = EngineConfig(stages=("rank",))
         v = classify_space(triangle(5), [2] * 4 + [1] * 3, cfg)
         assert v.kind == NON_SPECIAL and v.dim == 0
-
-
-class TestDegreeDrop:
-    def test_applicable(self):
-        L = parse_system("L(31;13,9^9)")
-        cand = dim_lower_bound_step(L)
-        assert cand is not None and cand.degree == 30
-
-    def test_inapplicable_when_vdim_too_low(self):
-        assert dim_lower_bound_step(parse_system("L(13;5,4^9)")) is None

@@ -6,6 +6,7 @@ from fatpoints.engine import EngineConfig
 from fatpoints.ledger import (
     ADHOC_SCRIPTS,
     _m_values,
+    dim_lower_bound_step,
     execute_method,
     iter_instances,
     load_entries,
@@ -115,3 +116,13 @@ class TestVerify:
         rep = run_ledger(m_max=14, k_max=30, entry_id="GLUE")
         assert rep.entries >= 1
         assert not rep.failures
+
+
+class TestDegreeDrop:
+    def test_applicable(self):
+        L = parse_system("L(31;13,9^9)")
+        cand = dim_lower_bound_step(L)
+        assert cand is not None and cand.degree == 30
+
+    def test_inapplicable_when_vdim_too_low(self):
+        assert dim_lower_bound_step(parse_system("L(13;5,4^9)")) is None

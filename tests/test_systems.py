@@ -19,7 +19,6 @@ from fatpoints.systems import (
     standard_form,
     strip_negative_mults,
     vdim,
-    verify_split,
 )
 
 
@@ -171,29 +170,6 @@ class TestGlue:
         cert = Verdict(EMPTY, dim=-1)
         g = glue(L(32, 13, *[9] * 11), 4, 9, 17, cert)
         assert g.same_as(L(32, 18, 13, *[9] * 7))
-
-
-class TestSplit:
-    def test_valid_combination(self):
-        whole = L(29, 12, *[7] * 9)
-        L1 = L(14, 7, 7, 7, 7)
-        L2 = L(29, 12, *[7] * 5, 15)
-        cert = Verdict(NON_SPECIAL, dim=0)
-        v = verify_split(whole, L1, L2, cert, cert)
-        assert v.kind == NON_SPECIAL and v.dim == edim(whole)
-
-    def test_rejects_bad_recombination(self):
-        with pytest.raises(ValueError):
-            verify_split(L(29, 12, *[7] * 9), L(14, 7, 7, 7),
-                         L(29, 12, *[7] * 5, 15),
-                         Verdict(NON_SPECIAL, 0), Verdict(NON_SPECIAL, 0))
-
-    def test_sign_condition(self):
-        whole = L(32, 13, *[9] * 11)
-        L1 = L(17, 9, 9, 9, 9)  # vdim -10
-        L2 = L(32, 18, 13, *[9] * 7)  # vdim -17
-        v = verify_split(whole, L1, L2, Verdict(EMPTY, -1), Verdict(EMPTY, -1))
-        assert v.kind == EMPTY  # (v1+1)(v2+1) = (-9)(-16) >= 0
 
 
 class TestFormatting:
