@@ -21,8 +21,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 from .diagrams import Diagram, bar, p_of, reduce_chain, triangle
@@ -189,29 +188,9 @@ class InitialCasesReport:
     wall_time: float = 0.0  # excluded from JSON for reproducibility
 
     def to_dict(self) -> dict:
-        return {
-            "spec": {"m": self.spec.m, "a": self.spec.a, "k": self.spec.k},
-            "mode": self.mode,
-            "s": self.s,
-            "total_diagrams": self.total_diagrams,
-            "filtered_out": self.filtered_out,
-            "max_p_plus_1": self.max_p_plus_1,
-            "result": self.result,
-            "counterexample": self.counterexample,
-            "checked": self.checked,
-            "levels": [
-                {
-                    "level": lv.level,
-                    "pending": lv.pending,
-                    "distinct_reduced": lv.distinct_reduced,
-                    "unreduced": lv.unreduced,
-                    "certified_groups": lv.certified_groups,
-                }
-                for lv in self.levels
-            ],
-            "prime": self.prime,
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        del d["wall_time"]
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -5,8 +5,10 @@ family L(m+k; m, t^r) together with the method that settles it (how many
 points to glue at a time, toward which target multiplicity, how often),
 or one concrete system with its method.  The verifier instantiates every
 record over a configurable (m, k, r) range, replays the method through
-the engine primitives, and checks the resulting verdict, including any
-declared intermediate systems.
+the engine primitives, and checks the resulting verdict, including every
+intermediate system the record lists in ``midpoints``.  Records load
+straight into ``LedgerEntry``; ``data/FORMAT.md`` lists their keys and
+the checks that reject a bad record.
 
 Method identifiers group records by the shape of their derivation:
 glueing alone, glueing followed by Cremona transformations, repeated
@@ -17,9 +19,9 @@ computations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .engine import EngineConfig, classify
 from .systems import (
@@ -40,6 +42,8 @@ from .systems import (
 from .textio import parse_system
 
 DATA_RESOURCE = "cases.jsonl"
+EXPECTS = ("auto", "empty", "nonspecial", "rank")
+GLUE_S = 4  # points merged per glue by the generic method
 
 
 @dataclass(frozen=True)
@@ -54,15 +58,38 @@ class LedgerEntry:
     system: str | None = None
     script: str | None = None
     glues_per_phase: int = 1
-    glue_s: int = 4
     target_offset: int = 1
     max_glues: int | None = None
     expect: str = "auto"
-    midpoints: tuple[dict, ...] = ()
+    midpoints: Sequence[dict] = ()
 
     @property
     def concrete(self) -> bool:
         return self.system is not None
+
+
+# JSON key -> LedgerEntry field; only k, r and m are renamed
+_FIELD_OF = {
+    {"k_spec": "k", "r_spec": "r", "m_spec": "m"}.get(f.name, f.name): f.name
+    for f in fields(LedgerEntry) if f.name != "index"
+}
+
+
+def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
+    """Build the entry of the record on 0-based line `index`."""
+    where = f"{DATA_RESOURCE} line {index + 1}"
+    unknown = sorted(set(rec) - set(_FIELD_OF))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    missing = [key for key in ("id", "anchor") if key not in rec]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(missing)}")
+    entry = LedgerEntry(index=index, **{_FIELD_OF[k]: v for k, v in rec.items()})
+    if entry.expect not in EXPECTS:
+        raise ValueError(f"{where}: unknown expect {entry.expect!r}")
+    if entry.script is not None and entry.script not in ADHOC_SCRIPTS:
+        raise ValueError(f"{where}: unknown script {entry.script!r}")
+    return entry
 
 
 def load_entries() -> list[LedgerEntry]:
@@ -72,28 +99,8 @@ def load_entries() -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
     for index, line in enumerate(text.splitlines()):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rec = json.loads(line)
-        entries.append(
-            LedgerEntry(
-                id=rec["id"],
-                anchor=rec["anchor"],
-                index=index,
-                tail=rec.get("tail"),
-                k_spec=rec.get("k"),
-                r_spec=rec.get("r"),
-                m_spec=rec.get("m"),
-                system=rec.get("system"),
-                script=rec.get("script"),
-                glues_per_phase=rec.get("glues_per_phase", 1),
-                glue_s=rec.get("glue_s", 4),
-                target_offset=rec.get("target_offset", 1),
-                max_glues=rec.get("max_glues"),
-                expect=rec.get("expect", "auto"),
-                midpoints=tuple(rec.get("midpoints", ())),
-            )
-        )
+        if line and not line.startswith("#"):
+            entries.append(_entry_from_record(json.loads(line), index))
     return entries
 
 
@@ -138,7 +145,6 @@ class Execution:
     verdict: Verdict
     chain: list[LinearSystem]
     glue_steps: list[dict]
-    note: str | None = None
 
     def chain_contains(self, L: LinearSystem) -> bool:
         return any(x.same_as(L) for x in self.chain)
@@ -147,7 +153,6 @@ class Execution:
 def execute_method(
     L: LinearSystem,
     cfg: EngineConfig,
-    glue_s: int = 4,
     target_offset: int = 1,
     glues_per_phase: int = 1,
     max_glues: int | None = None,
@@ -155,7 +160,7 @@ def execute_method(
     """Alternate standard form and glue phases until the axioms conclude.
 
     A glue phase performs up to glues_per_phase consecutive glues, each
-    replacing glue_s points of the smallest repeated multiplicity m0 by
+    replacing GLUE_S points of the smallest repeated multiplicity m0 by
     one point of multiplicity 2*m0 + target_offset (the usual target is
     2*m0 + 1; emptiness proofs glue to 2*m0).  If no glue applies or a
     precondition fails, the engine pipeline settles the current system.
@@ -182,29 +187,20 @@ def execute_method(
                 break
             m0 = next(
                 (x for x in sorted(set(canon.mults))
-                 if x > 0 and canon.count(x) >= glue_s),
+                 if x > 0 and canon.count(x) >= GLUE_S),
                 None,
             )
             if m0 is None:
                 break
             k_small = 2 * m0 - 1 + target_offset
-            small = LinearSystem(k_small, (m0,) * glue_s)
+            small = LinearSystem(k_small, (m0,) * GLUE_S)
             cert = classify(small, cfg)
             try:
-                nxt = glue(canon, glue_s, m0, k_small, cert)
+                nxt = glue(canon, GLUE_S, m0, k_small, cert)
             except GlueError:
                 failed = True
                 break
-            glue_steps.append(
-                {
-                    "s": glue_s,
-                    "m": m0,
-                    "k": k_small,
-                    "vdim_before": vdim(canon),
-                    "vdim_after": vdim(nxt),
-                    "vdim_small": vdim(small),
-                }
-            )
+            glue_steps.append(_glue_step(small, canon, nxt))
             chain.append(nxt)
             canon = nxt.canonical()
             glued += 1
@@ -215,6 +211,14 @@ def execute_method(
     if verdict is None:
         verdict = classify(cur, cfg)
     return Execution(verdict=verdict, chain=chain, glue_steps=glue_steps)
+
+
+def _glue_step(small: LinearSystem, before: LinearSystem,
+               after: LinearSystem) -> dict:
+    """Record of one glue of the points of `small`: `before` became `after`."""
+    return {"s": len(small.mults), "m": small.mults[0], "k": small.degree,
+            "vdim_before": vdim(before), "vdim_after": vdim(after),
+            "vdim_small": vdim(small)}
 
 
 def _map_to_original(L: LinearSystem, ex: Execution) -> Verdict:
@@ -230,13 +234,11 @@ def _map_to_original(L: LinearSystem, ex: Execution) -> Verdict:
         kind = EMPTY if e == -1 else NON_SPECIAL
         return Verdict(kind, dim=e, certificate=final.certificate,
                        axioms_used=final.axioms_used)
-    if final.kind == MINUS_ONE_SPECIAL:
-        if ex.glue_steps:
-            return Verdict(
-                INCONCLUSIVE,
-                reason="-1-specialty does not transfer through glueing",
-            )
-        return final
+    if final.kind == MINUS_ONE_SPECIAL and ex.glue_steps:
+        return Verdict(
+            INCONCLUSIVE,
+            reason="-1-specialty does not transfer through glueing",
+        )
     return final
 
 
@@ -244,29 +246,17 @@ def _map_to_original(L: LinearSystem, ex: Execution) -> Verdict:
 # ad-hoc scripts
 
 
-def _assert_chain(ex_chain: list[LinearSystem], expected: str) -> None:
-    want = parse_system(expected)
-    if not any(x.same_as(want) for x in ex_chain):
-        raise AssertionError(f"expected {expected} in derivation chain")
-
-
-def _script_glue3(L: LinearSystem, cfg: EngineConfig, small_text: str,
-                  endpoint: str) -> Execution:
+def _script_glue3(L: LinearSystem, cfg: EngineConfig,
+                  small_text: str) -> Execution:
     """Glue three points using the given small system, then standard form."""
     small = parse_system(small_text)
-    m0 = small.mults[0]
     cert = classify(small, cfg)
-    L2 = glue(L.canonical(), 3, m0, small.degree, cert)
+    L2 = glue(L.canonical(), 3, small.mults[0], small.degree, cert)
     std, chain = standard_form(L2)
-    full_chain = [L, L2, *chain[1:]]
-    _assert_chain(full_chain, endpoint)
     v = classify_by_axioms(std.canonical())
     assert v is not None
-    ex = Execution(verdict=v, chain=full_chain,
-                   glue_steps=[{"s": 3, "m": m0, "k": small.degree,
-                                "vdim_before": vdim(L), "vdim_after": vdim(L2),
-                                "vdim_small": vdim(small)}])
-    return ex
+    return Execution(verdict=v, chain=[L, L2, *chain[1:]],
+                     glue_steps=[_glue_step(small, L, L2)])
 
 
 def dim_lower_bound_step(L: LinearSystem) -> LinearSystem | None:
@@ -278,24 +268,16 @@ def dim_lower_bound_step(L: LinearSystem) -> LinearSystem | None:
     return None
 
 
-def _script_degree_drop(L: LinearSystem, cfg: EngineConfig,
-                        midpoints: list[str]) -> Execution:
+def _script_degree_drop(L: LinearSystem, cfg: EngineConfig) -> Execution:
     """Settle L by certifying the degree-(d-1) system non-special."""
     std, chain = standard_form(L)
     dropped = dim_lower_bound_step(std)
     assert dropped is not None, "degree drop needs vdim(L(d-1;M)) >= -1"
     sub = classify(dropped, cfg)
+    if not sub.certifies_nonspecial:
+        sub = Verdict(INCONCLUSIVE, reason="degree-drop target not certified")
     _, sub_chain = standard_form(dropped)
-    full_chain = list(chain) + list(sub_chain)
-    for text in midpoints:
-        _assert_chain(full_chain, text)
-    if sub.certifies_nonspecial:
-        e = edim(L)
-        v = Verdict(EMPTY if e == -1 else NON_SPECIAL, dim=e,
-                    certificate=sub.certificate, axioms_used=sub.axioms_used)
-    else:
-        v = Verdict(INCONCLUSIVE, reason="degree-drop target not certified")
-    return Execution(verdict=v, chain=full_chain, glue_steps=[])
+    return Execution(verdict=sub, chain=[*chain, *sub_chain], glue_steps=[])
 
 
 def _script_classify(L: LinearSystem, cfg: EngineConfig) -> Execution:
@@ -303,16 +285,12 @@ def _script_classify(L: LinearSystem, cfg: EngineConfig) -> Execution:
 
 
 ADHOC_SCRIPTS = {
-    "glue3-8-L(4;4)": lambda L, cfg: _script_glue3(L, cfg, "L(15;8^3)", "L(4;4)"),
-    "glue3-10-L(4;2)": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)", "L(4;2)"),
-    "glue3-10-L(5;5)": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)", "L(5;5)"),
+    "glue3-8-L(4;4)": lambda L, cfg: _script_glue3(L, cfg, "L(15;8^3)"),
+    "glue3-10-L(4;2)": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)"),
+    "glue3-10-L(5;5)": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)"),
     "classify": _script_classify,
-    "degree-drop-L(26;9^2,8^8)": lambda L, cfg: _script_degree_drop(
-        L, cfg, ["L(26;9^2,8^8)"]
-    ),
-    "crst-degree-drop-L(29;11,9^8,8)": lambda L, cfg: _script_degree_drop(
-        L, cfg, ["L(31;12,10,9^8)", "L(29;11,9^8,8)"]
-    ),
+    "degree-drop-L(26;9^2,8^8)": _script_degree_drop,
+    "crst-degree-drop-L(29;11,9^8,8)": _script_degree_drop,
 }
 
 
@@ -341,16 +319,12 @@ class EntryReport:
 
 
 def _expected_ok(entry: LedgerEntry, verdict: Verdict) -> tuple[bool, str | None]:
-    if entry.expect == "empty":
-        return verdict.kind == EMPTY, (
-            None if verdict.kind == EMPTY else f"expected Empty, got {verdict.kind}"
-        )
-    if entry.expect == "nonspecial":
-        return verdict.kind == NON_SPECIAL, (
-            None
-            if verdict.kind == NON_SPECIAL
-            else f"expected NonSpecial, got {verdict.kind}"
-        )
+    """`empty` and `nonspecial` need that kind; `auto` and `rank` need any
+    conclusive verdict."""
+    want = {"empty": EMPTY, "nonspecial": NON_SPECIAL}.get(entry.expect)
+    if want is not None:
+        ok = verdict.kind == want
+        return ok, None if ok else f"expected {want}, got {verdict.kind}"
     ok = verdict.conclusive
     return ok, None if ok else (verdict.reason or "inconclusive")
 
@@ -380,27 +354,21 @@ def _run_instance(entry: LedgerEntry, L: LinearSystem, params: dict,
             verdict = classify(L, rank_cfg)
             ex = Execution(verdict=verdict, chain=[L], glue_steps=[])
         else:
-            phase = entry.glues_per_phase
             ex = execute_method(
-                L, cfg, glue_s=entry.glue_s,
-                target_offset=entry.target_offset,
-                glues_per_phase=phase, max_glues=entry.max_glues,
+                L, cfg, target_offset=entry.target_offset,
+                glues_per_phase=entry.glues_per_phase,
+                max_glues=entry.max_glues,
             )
             verdict = _map_to_original(L, ex)
             if not verdict.conclusive and entry.expect == "auto":
                 direct = classify(L, cfg)
                 if direct.conclusive:
                     verdict = direct
-                    ex = Execution(verdict=direct, chain=[L], glue_steps=[],
-                                   note="settled by direct classification")
+                    ex = Execution(verdict=direct, chain=[L], glue_steps=[])
     except (AssertionError, ValueError) as exc:
         return InstanceResult(system=str(L), params=params, ok=False,
                               kind="error", note=str(exc))
-    if entry.expect == "rank":
-        ok = verdict.conclusive
-        note = None if ok else (verdict.reason or "inconclusive")
-    else:
-        ok, note = _expected_ok(entry, verdict)
+    ok, note = _expected_ok(entry, verdict)
     if ok and verdict.kind == NON_SPECIAL and verdict.dim != edim(L):
         ok, note = False, f"dim {verdict.dim} != edim {edim(L)}"
     if ok:

@@ -6,7 +6,9 @@ Diagram := "(" ("~" INT ",")? Item ("," Item)* ")"   or just "(~a)"
 Item    := INT ("^" COUNT)?
 
 "~a" abbreviates the staircase prefix 1,2,...,a.  Whitespace is
-ignored.  Negative integers are allowed in systems only.
+ignored.  Negative integers are allowed in systems only.  A system or
+diagram has at most MAX_ENTRIES entries; a COUNT or "~a" that would
+exceed it is rejected before anything is allocated.
 """
 from __future__ import annotations
 
@@ -24,12 +26,14 @@ class ParseError(ValueError):
 
 _INT = re.compile(r"-?\d+")
 _COUNT = re.compile(r"\d+")
+MAX_ENTRIES = 10_000  # multiplicities of a system, layers of a diagram
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.start = 0  # where the last integer began
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -56,7 +60,7 @@ class _Scanner:
         m = pattern.match(self.text, self.pos)
         if not m:
             raise ParseError(self.text, self.pos, "expected an integer")
-        self.pos = m.end()
+        self.start, self.pos = self.pos, m.end()
         return int(m.group())
 
     def done(self) -> None:
@@ -65,16 +69,21 @@ class _Scanner:
             raise ParseError(self.text, self.pos, "unexpected trailing input")
 
 
-def _items(sc: _Scanner, allow_negative: bool) -> list[int]:
-    out: list[int] = []
+def _check_room(sc: _Scanner, used: int, n: int) -> None:
+    """Raise ParseError at the integer just read if `used` + n entries
+    would pass MAX_ENTRIES."""
+    if used + n > MAX_ENTRIES:
+        raise ParseError(sc.text, sc.start, f"more than {MAX_ENTRIES} entries")
+
+
+def _items(sc: _Scanner, allow_negative: bool, out: list[int]) -> None:
     while True:
         v = sc.integer(_INT if allow_negative else _COUNT)
-        n = 1
-        if sc.take("^"):
-            n = sc.integer(_COUNT)
+        n = sc.integer(_COUNT) if sc.take("^") else 1
+        _check_room(sc, len(out), n)
         out.extend([v] * n)
         if not sc.take(","):
-            return out
+            return
 
 
 def parse_system(text: str) -> LinearSystem:
@@ -84,7 +93,7 @@ def parse_system(text: str) -> LinearSystem:
     sc.expect(";")
     mults: list[int] = []
     if not sc.peek(")"):
-        mults = _items(sc, allow_negative=True)
+        _items(sc, True, mults)
     sc.expect(")")
     sc.done()
     return LinearSystem(d, tuple(mults))
@@ -96,13 +105,14 @@ def parse_diagram(text: str) -> Diagram:
     layers: list[int] = []
     if sc.take("~"):
         a = sc.integer(_COUNT)
+        _check_room(sc, 0, a)
         layers.extend(range(1, a + 1))
         if not sc.take(","):
             sc.expect(")")
             sc.done()
             return Diagram(tuple(layers)).canonical()
     if not sc.peek(")"):
-        layers.extend(_items(sc, allow_negative=False))
+        _items(sc, False, layers)
     sc.expect(")")
     sc.done()
     return Diagram(tuple(layers)).canonical()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fatpoints._gauss import _rank_mod_p_numpy, _rank_mod_p_scalar
 from fatpoints.diagrams import triangle
 from fatpoints.fplinalg import (
     DegeneratePointsError,
@@ -90,6 +91,32 @@ class TestRank:
         p = PrimeFieldConfig().p
         A = np.array([[1, 0], [0, p]], dtype=np.int64)
         assert rank(A, p) == 1
+
+
+    def test_scalar_kernel_matches_numpy_kernel(self):
+        # The scalar kernel is what numba compiles; run it as plain Python
+        # so its logic is checked where numba is absent.
+        p = 2**31 - 1
+        rng = np.random.default_rng(7)
+        deficient = 0
+        for _ in range(80):
+            m, n = (int(x) for x in rng.integers(1, 9, size=2))
+            A = rng.integers(0, p, size=(m, n), dtype=np.int64)
+            for i in range(1, m):
+                pick = int(rng.integers(0, 4))
+                if pick == 0:
+                    A[i] = 0
+                elif pick == 1:
+                    A[i] = A[int(rng.integers(0, i))]
+                elif pick == 2:  # a combination of two earlier rows
+                    a, b = (int(x) for x in rng.integers(1, p, size=2))
+                    j, k = (int(x) for x in rng.integers(0, i, size=2))
+                    A[i] = [(a * int(x) + b * int(y)) % p
+                            for x, y in zip(A[j], A[k])]
+            want = _rank_mod_p_numpy(A.copy(), p)
+            assert _rank_mod_p_scalar(A.copy(), p) == want, A
+            deficient += want < min(m, n)
+        assert deficient >= 20
 
 
 class TestCertificate:

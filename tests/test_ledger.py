@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import re
 from collections import defaultdict
+
+import pytest
 
 from fatpoints.engine import EngineConfig
 from fatpoints.ledger import (
     ADHOC_SCRIPTS,
+    LedgerEntry,
+    _entry_from_record,
     _m_values,
     dim_lower_bound_step,
     execute_method,
@@ -38,6 +44,44 @@ class TestLoad:
     def test_unique_indices(self):
         idx = [(e.id, e.index) for e in entries()]
         assert len(idx) == len(set(idx))
+
+
+FAMILY = {"id": "GLUE", "anchor": "glueing", "tail": 7, "k": [22], "r": [9]}
+
+
+class TestLoaderChecks:
+    def test_record_loads_straight_into_entry(self):
+        rec = {**FAMILY, "m": {"ge": 13}, "max_glues": 2}
+        assert _entry_from_record(rec, 4) == LedgerEntry(
+            id="GLUE", anchor="glueing", index=4, tail=7, k_spec=[22],
+            r_spec=[9], m_spec={"ge": 13}, max_glues=2,
+        )
+
+    @pytest.mark.parametrize("rec, message", [
+        ({**FAMILY, "glues": 1}, "unknown key(s) glues"),
+        ({**FAMILY, "k_spec": [22]}, "unknown key(s) k_spec"),
+        ({**FAMILY, "expect": "emtpy"}, "unknown expect 'emtpy'"),
+        ({**FAMILY, "script": "glue3"}, "unknown script 'glue3'"),
+        ({"id": "GLUE", "tail": 7}, "missing anchor"),
+    ])
+    def test_bad_record_names_its_line(self, rec, message):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"cases.jsonl line 5: {message}")):
+            _entry_from_record(rec, 4)
+
+    @pytest.mark.parametrize("script, good, bad", [
+        ("glue3-8-L(4;4)", "L(4;4)", "L(4;3)"),
+        ("degree-drop-L(26;9^2,8^8)", "L(26;9^2,8^8)", "L(26;9^2,8^7)"),
+    ])
+    def test_wrong_script_midpoint_fails(self, script, good, bad):
+        entry = next(e for e in entries() if e.script == script)
+        assert not verify_entry(entry).failures
+        (mp,) = entry.midpoints
+        assert good in mp["systems"]
+        systems = [bad if s == good else s for s in mp["systems"]]
+        altered = dataclasses.replace(entry, midpoints=[{"systems": systems}])
+        (failure,) = verify_entry(altered).failures
+        assert failure.note == f"missing expected intermediate {bad}"
 
 
 class TestCoverage:

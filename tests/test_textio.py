@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from fatpoints.diagrams import bar, triangle
 from fatpoints.systems import LinearSystem
 from fatpoints.textio import (
+    MAX_ENTRIES,
     ParseError,
     format_diagram,
     format_system,
@@ -61,3 +64,27 @@ class TestParseDiagram:
         for D in [triangle(6), bar(6, 6, 6, 5, 5, 2),
                   bar(19, 18, 17, 16, 14, 10, 5)]:
             assert parse_diagram(format_diagram(D)) == D.canonical()
+
+
+class TestEntryBound:
+    @pytest.mark.parametrize("parse, text, pos", [
+        (parse_system, "L(1;1^99999999999)", 6),
+        (parse_system, "L(1;2^5000, 1 ^ 5001)", 16),
+        (parse_diagram, "(~99999999999)", 2),
+        (parse_diagram, "(~5000,3^5001)", 9),
+    ])
+    def test_rejected_before_allocating(self, parse, text, pos):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="more than 10000 entries") as exc:
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.pos == pos
+        assert peak < 1_000_000
+
+    def test_bound_itself_parses(self):
+        assert MAX_ENTRIES == 10_000
+        assert parse_system("L(1;1^10000)").mults == (1,) * 10_000
+        assert parse_diagram("(~10000)") == triangle(10_000)
