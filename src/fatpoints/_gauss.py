@@ -1,48 +1,106 @@
-"""Row-elimination rank over a word-sized prime field.
+"""Exact rank over a word-sized prime field F_p, p < 2^31, by blocked
+elimination with float64 BLAS products.
 
-The hot loop is compiled with numba when available (products of two
-residues below 2^31 fit comfortably in int64); a numpy fallback keeps
-the package importable without a compiler.
+The kernel walks the columns in panels of PANEL columns. Inside a panel it
+works column by column (left-looking): a column is brought up to date
+with one product against the pivot rows found so far, its first nonzero
+entry is the pivot, and the pivot row's remaining part (U) is built the
+same way at the moment the pivot is chosen. The multipliers (L) fill a
+small float64 array. After the panel, the trailing Schur complement gets
+the whole panel at once, ``S -= L·U (mod p)``, as GEMMs over row chunks of
+CHUNK rows, so temporaries stay O(CHUNK × columns).
+
+Exactness. Every residue lies in [0, p) with p < 2^31. U is split into
+16-bit halves, ``U = hi·2^16 + lo``, and each half is multiplied in
+float64. A sum of at most PANEL ≤ 64 products is below
+``64·(2^31−2)·(2^16−1) < 2^53``, and so is every partial sum, so each
+product is an exact integer whatever the BLAS summation order or thread
+count. The halves are reduced and recombined in int64.
+
+The rank does not depend on which pivots are chosen, so the result is
+the same as that of the scalar reference ``_rank_mod_p_scalar``, which
+the tests run against this kernel.
+
+The kernel is exact; randomness enters only through the points that
+``fplinalg`` samples. Unlucky points can lower the rank of a matrix
+(Schwartz–Zippel bounds the chance, see ``fplinalg``), and a deficient
+rank only ever yields a retry or Inconclusive, never a wrong verdict.
 """
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 
-try:
-    from numba import njit
+# Reported in the benchmark's environment record; no code path depends on it.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+P_LIMIT = 2**31
+PANEL = 64  # measured: 64 beats 32 on 400-700 column matrices, ties below 200
+CHUNK = 128
+_HALF = 1 << 16
+assert PANEL <= 64  # keeps PANEL·(P_LIMIT−2)·(_HALF−1) below 2^53
 
 
-def _rank_mod_p_numpy(A: np.ndarray, p: int) -> int:
-    """Vectorized elimination; A is int64 and modified in place."""
+def _sub_product(X: np.ndarray, L: np.ndarray, U_hi: np.ndarray,
+                 U_lo: np.ndarray, p: int) -> None:
+    """X ← (X − L·U) mod p in place, with U = U_hi·2^16 + U_lo; exact (see
+    module doc)."""
+    Y = (L @ U_hi).astype(np.int64)
+    Y %= p
+    Y *= _HALF
+    Y += (L @ U_lo).astype(np.int64)
+    X -= Y
+    X %= p
+
+
+def rank_mod_p_inplace(A: np.ndarray, p: int) -> int:
+    """Rank of the int64 matrix A over F_p, p < 2^31; A is overwritten."""
     m, n = A.shape
+    A %= p
     r = 0
-    for c in range(n):
-        col = A[r:, c] % p
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv], :] = A[[piv, r], :]
-        inv = pow(int(A[r, c]) % p, -1, p)
-        A[r, :] = (A[r, :] * inv) % p
-        below = A[r + 1 :, c] % p
-        rows = np.nonzero(below)[0]
-        if rows.size:
-            A[r + 1 + rows, :] = (
-                A[r + 1 + rows, :] - below[rows, None] * A[r, :]
-            ) % p
-        r += 1
+    for c0 in range(0, n, PANEL):
         if r == m:
             break
+        w = min(PANEL, n - c0)
+        S = A[r:, c0:]
+        L = np.zeros((m - r, w))
+        U_hi = np.empty((w, n - c0))
+        U_lo = np.empty((w, n - c0))
+        k = 0  # pivots found in this panel; they are rows 0..k-1 of S
+        for j in range(w):
+            col = S[k:, j]
+            if k:
+                _sub_product(col, L[k:, :k], U_hi[:k, j], U_lo[:k, j], p)
+            nz = col.nonzero()[0]
+            if nz.size == 0:
+                continue
+            piv = int(nz[0])
+            if piv:  # L is zero from column k on in both rows
+                for M in (S, L):
+                    t = M[k].copy()
+                    M[k] = M[k + piv]
+                    M[k + piv] = t
+            if k:
+                _sub_product(S[k, j + 1:], L[k, :k], U_hi[:k, j + 1:], U_lo[:k, j + 1:], p)
+            U_hi[k, j:] = S[k, j:] >> 16
+            U_lo[k, j:] = S[k, j:] & (_HALF - 1)
+            L[k + 1:, k] = col[1:] * pow(int(col[0]), -1, p) % p
+            k += 1
+        if k and w < n - c0 and r + k < m:
+            T = S[k:, w:]
+            for i in range(0, len(T), CHUNK):
+                _sub_product(T[i:i + CHUNK], L[k + i:k + i + CHUNK, :k],
+                             U_hi[:k, w:], U_lo[:k, w:], p)
+        r += k
     return r
 
 
 def _rank_mod_p_scalar(A: np.ndarray, p: int) -> int:
+    """Reference kernel: plain row elimination, one entry at a time.
+
+    Only the tests run it, as the oracle for ``rank_mod_p_inplace``.
+    """
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -78,9 +136,3 @@ def _rank_mod_p_scalar(A: np.ndarray, p: int) -> int:
         if r == m:
             break
     return r
-
-
-if HAVE_NUMBA:
-    rank_mod_p_inplace = njit(cache=True)(_rank_mod_p_scalar)
-else:  # pragma: no cover
-    rank_mod_p_inplace = _rank_mod_p_numpy

@@ -6,7 +6,6 @@ loaded at startup and writes go through a single appending writer.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -14,6 +13,8 @@ from pathlib import Path
 
 def record_key(canonical_input: str, p: int, seed: int, attempts: int,
                version: str) -> str:
+    import hashlib  # on first use, as in fplinalg.task_rng
+
     payload = f"{canonical_input}|p={p}|seed={seed}|attempts={attempts}|v={version}"
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -16,11 +16,25 @@ from .fplinalg import rank as matrix_rank
 from .initial_cases import FamilySpec, run_initial_cases
 from .ledger import run_ledger
 from .systems import INCONCLUSIVE, LinearSystem, Verdict, edim, standard_form, vdim
-from .textio import parse_diagram, parse_system
+from .textio import ParseError, parse_diagram, parse_mults, parse_system
 
 
-def _parse_mults(text: str) -> tuple[int, ...]:
-    return parse_system(f"L(0;{text})").mults
+def _parse(parse, text: str):
+    """Run a textio parser; a ParseError becomes a usage error that names
+    its position."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        raise click.UsageError(str(e)) from None
+
+
+def _field(**kwargs) -> PrimeFieldConfig:
+    """PrimeFieldConfig from command options; a bad --prime or --attempts
+    becomes a usage error."""
+    try:
+        return PrimeFieldConfig(**kwargs)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from None
 
 
 def _verdict_dict(v: Verdict) -> dict:
@@ -60,7 +74,7 @@ def main(ctx: click.Context, as_json: bool, cache_path: str | None,
 @click.pass_context
 def vdim_cmd(ctx: click.Context, system: str) -> None:
     """Virtual dimension of SYSTEM."""
-    L = parse_system(system)
+    L = _parse(parse_system, system)
     _emit(ctx, {"input": str(L.canonical()), "vdim": vdim(L)}, str(vdim(L)))
 
 
@@ -69,7 +83,7 @@ def vdim_cmd(ctx: click.Context, system: str) -> None:
 @click.pass_context
 def edim_cmd(ctx: click.Context, system: str) -> None:
     """Expected dimension of SYSTEM."""
-    L = parse_system(system)
+    L = _parse(parse_system, system)
     _emit(ctx, {"input": str(L.canonical()), "edim": edim(L)}, str(edim(L)))
 
 
@@ -78,7 +92,7 @@ def edim_cmd(ctx: click.Context, system: str) -> None:
 @click.pass_context
 def crst_cmd(ctx: click.Context, system: str) -> None:
     """Standard form of SYSTEM with the full Cremona chain."""
-    L = parse_system(system)
+    L = _parse(parse_system, system)
     result, chain = standard_form(L)
     payload = {
         "input": str(L.canonical()),
@@ -107,7 +121,7 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
     unknown = set(stages) - set(ALL_STAGES)
     if unknown:
         raise click.UsageError(f"unknown stages: {','.join(sorted(unknown))}")
-    L = parse_system(system)
+    L = _parse(parse_system, system)
     canonical = str(L.canonical())
     key = record_key(
         canonical + (f"|stages={','.join(stages)}" if stages_text else ""),
@@ -118,7 +132,7 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
     cached = record is not None
     if record is None:
         cfg = EngineConfig(
-            field_cfg=PrimeFieldConfig(p=prime, seed=seed, attempts=attempts),
+            field_cfg=_field(p=prime, seed=seed, attempts=attempts),
             max_cols=max_cols,
             stages=stages,
         )
@@ -176,9 +190,9 @@ def reduce_cmd(ctx: click.Context, diagram_text: str, mults_text: str,
     """Run the reduction chain on a diagram."""
     from .diagrams import reduce_chain
 
-    D = parse_diagram(diagram_text)
-    mults = _parse_mults(mults_text)
-    order = _parse_mults(order_text) if order_text else None
+    D = _parse(parse_diagram, diagram_text)
+    mults = _parse(parse_mults, mults_text)
+    order = _parse(parse_mults, order_text) if order_text else None
     trace = reduce_chain(D, mults, order=order)
     payload = {
         "diagram": str(D),
@@ -207,19 +221,19 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
              mults_text: str | None, prime: int, seed: int) -> None:
     """Interpolation-matrix rank for SYSTEM or for --diagram/--mults."""
     if system:
-        L = parse_system(system)
+        L = _parse(parse_system, system)
         if any(m < 0 for m in L.mults) or L.degree < 0:
             raise click.UsageError("rank needs d >= 0 and mults >= 0")
         D = triangle(L.degree + 1)
         mults = tuple(m for m in L.mults if m > 0)
         label = str(L.canonical())
     elif diagram_text and mults_text:
-        D = parse_diagram(diagram_text)
-        mults = tuple(m for m in _parse_mults(mults_text) if m > 0)
+        D = _parse(parse_diagram, diagram_text)
+        mults = tuple(m for m in _parse(parse_mults, mults_text) if m > 0)
         label = f"{D}; {','.join(str(m) for m in mults)}"
     else:
         raise click.UsageError("give SYSTEM or both --diagram and --mults")
-    cfg = PrimeFieldConfig(p=prime, seed=seed)
+    cfg = _field(p=prime, seed=seed)
     rng = task_rng(cfg, f"{D}|{','.join(str(m) for m in mults)}|cli")
     points = sample_points(len(mults), prime, rng)
     A = build_matrix(D, mults, points, prime)
@@ -252,7 +266,7 @@ def initial_cases_cmd(ctx: click.Context, m_: int, a_: int, k_: int, s_: int,
                       seed: int) -> None:
     """Certify the family (m, a, k) of staircase diagrams."""
     spec = FamilySpec(m_, a_, k_)
-    cfg = PrimeFieldConfig(p=prime, seed=seed)
+    cfg = _field(p=prime, seed=seed)
     report = run_initial_cases(spec, s=s_, jobs=jobs, cfg=cfg,
                                enumeration_only=enumeration_only)
     if ctx.obj["json"]:
@@ -280,7 +294,7 @@ def ledger_group() -> None:
 def ledger_verify_cmd(ctx: click.Context, entry_id: str | None, m_max: int,
                       k_max: int, r_max: int, prime: int, seed: int) -> None:
     """Replay and verify every ledger record over the given ranges."""
-    cfg = EngineConfig(field_cfg=PrimeFieldConfig(p=prime, seed=seed))
+    cfg = EngineConfig(field_cfg=_field(p=prime, seed=seed))
     report = run_ledger(m_max=m_max, k_max=k_max, r_max=r_max, cfg=cfg,
                         entry_id=entry_id)
     if ctx.obj["json"]:

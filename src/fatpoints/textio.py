@@ -1,6 +1,6 @@
 """Plain-text grammars for systems and diagrams.
 
-System  := "L(" INT ";" MultList ")"        MultList := Mult ("," Mult)*
+System  := "L(" INT ";" MultList ")"        MultList := Mult ("," Mult)* or empty
 Mult    := INT ("^" COUNT)?
 Diagram := "(" ("~" INT ",")? Item ("," Item)* ")"   or just "(~a)"
 Item    := INT ("^" COUNT)?
@@ -60,8 +60,12 @@ class _Scanner:
         m = pattern.match(self.text, self.pos)
         if not m:
             raise ParseError(self.text, self.pos, "expected an integer")
+        try:
+            value = int(m.group())
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise ParseError(self.text, self.pos, "integer too long") from None
         self.start, self.pos = self.pos, m.end()
-        return int(m.group())
+        return value
 
     def done(self) -> None:
         self.skip_ws()
@@ -76,9 +80,14 @@ def _check_room(sc: _Scanner, used: int, n: int) -> None:
         raise ParseError(sc.text, sc.start, f"more than {MAX_ENTRIES} entries")
 
 
-def _items(sc: _Scanner, allow_negative: bool, out: list[int]) -> None:
+def _items(sc: _Scanner, layers: bool, out: list[int]) -> None:
+    """Read Item ("," Item)* into out.  Diagram layers are non-negative and
+    layer j holds at most j cells; multiplicities may be negative."""
     while True:
-        v = sc.integer(_INT if allow_negative else _COUNT)
+        v = sc.integer(_COUNT if layers else _INT)
+        if layers and v > len(out) + 1:
+            j = len(out) + 1
+            raise ParseError(sc.text, sc.start, f"layer {j} has size {v}, allowed 0..{j}")
         n = sc.integer(_COUNT) if sc.take("^") else 1
         _check_room(sc, len(out), n)
         out.extend([v] * n)
@@ -93,10 +102,20 @@ def parse_system(text: str) -> LinearSystem:
     sc.expect(";")
     mults: list[int] = []
     if not sc.peek(")"):
-        _items(sc, True, mults)
+        _items(sc, False, mults)
     sc.expect(")")
     sc.done()
     return LinearSystem(d, tuple(mults))
+
+
+def parse_mults(text: str) -> tuple[int, ...]:
+    """A bare MultList, such as the multiplicities of a system."""
+    sc = _Scanner(text)
+    mults: list[int] = []
+    if text.strip():
+        _items(sc, False, mults)
+    sc.done()
+    return tuple(mults)
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -112,7 +131,7 @@ def parse_diagram(text: str) -> Diagram:
             sc.done()
             return Diagram(tuple(layers)).canonical()
     if not sc.peek(")"):
-        _items(sc, False, layers)
+        _items(sc, True, layers)
     sc.expect(")")
     sc.done()
     return Diagram(tuple(layers)).canonical()
@@ -121,6 +140,7 @@ def parse_diagram(text: str) -> Diagram:
 __all__ = [
     "ParseError",
     "parse_system",
+    "parse_mults",
     "parse_diagram",
     "format_system",
     "format_diagram",

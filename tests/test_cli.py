@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from fatpoints.cli import main
@@ -31,6 +32,32 @@ class TestBasics:
     def test_parse_error(self):
         r = run("vdim", "L(30;13,")
         assert r.exit_code != 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, pos", [
+        (["vdim", "L(30;13,"], 8),
+        (["edim", "L(1;2"], 5),
+        (["crst", "L(30;13 9)"], 8),
+        (["classify", "L(32;12,"], 8),
+        (["classify", "L(" + "9" * 5000 + ";1)"], 2),
+        (["reduce", "--diagram", "(~3,x)", "--mults", "2"], 4),
+        (["reduce", "--diagram", "(~3)", "--mults", "2,,1"], 2),
+        (["reduce", "--diagram", "(~3)", "--mults", "2", "--order", "1)"], 1),
+        (["rank", "L(4;2^)"], 6),
+        (["rank", "--diagram", "(1, 5)", "--mults", "2"], 4),
+        (["rank", "--diagram", "(~3)", "--mults", "a"], 0),
+    ])
+    def test_parse_error_names_its_position(self, args, pos):
+        r = run(*args)
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert f"at position {pos} in" in r.output
+
+    @pytest.mark.parametrize("prime", ["2305843009213693951", "1000000", "1048577"])
+    def test_bad_prime(self, prime):
+        r = run("rank", "--prime", prime, "L(4;2^5)")
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
 
 
 class TestClassify:

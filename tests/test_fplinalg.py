@@ -3,10 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fatpoints._gauss import _rank_mod_p_numpy, _rank_mod_p_scalar
-from fatpoints.diagrams import triangle
+from fatpoints._gauss import (
+    PANEL,
+    P_LIMIT,
+    _rank_mod_p_scalar,
+    _sub_product,
+    rank_mod_p_inplace,
+)
+from fatpoints.diagrams import diagram, triangle
 from fatpoints.fplinalg import (
     DegeneratePointsError,
+    _is_prime,
     PrimeFieldConfig,
     build_matrix,
     certify_nonspecial_rank,
@@ -25,6 +32,25 @@ class TestConfig:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeFieldConfig(p=2**20 + 1)  # 1048577 = 17 * 61681
+
+    def test_rejects_prime_too_large_for_exact_arithmetic(self):
+        PrimeFieldConfig(p=2**31 - 1)
+        with pytest.raises(ValueError, match="below 2"):
+            PrimeFieldConfig(p=2**61 - 1)
+        with pytest.raises(ValueError, match="below 2"):
+            PrimeFieldConfig(p=2**31 + 11)  # prime, but too large
+
+    def test_primality_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(3)
+        odd = [int(x) | 1 for x in rng.integers(10**6, 2**31, size=2000)]
+        primes = [int(sympy.randprime(10**6, 2**31)) for _ in range(300)]
+        # products of two primes near sqrt(2^31) and the strong pseudoprimes
+        # 1,373,653 (bases 2, 3) and 25,326,001 (bases 2, 3, 5)
+        hard = [46337 * 46327, 40009 * 40013, 1_373_653, 25_326_001]
+        for n in odd + primes + hard + [10**6 + 3, 2**31 - 1]:
+            assert _is_prime(n) == sympy.isprime(n), n
+        assert not _is_prime(1_373_653) and not _is_prime(25_326_001)
 
     def test_rejects_zero_attempts(self):
         with pytest.raises(ValueError):
@@ -48,7 +74,36 @@ class TestSampling:
         assert len({y for _, y in pts}) == 50
 
 
+def _build_matrix_reference(D, mults, points, p):
+    """build_matrix entry by entry with Python ints."""
+    def ff(a, k):  # a (a-1) ... (a-k+1), zero when k > a
+        out = 1
+        for i in range(k):
+            out *= a - i
+        return out
+
+    return [[ff(a, al) * ff(b, be) * pow(x, max(a - al, 0), p)
+             * pow(y, max(b - be, 0), p) % p for a, b in D.canonical().monomials()]
+            for (x, y), m in zip(points, mults)
+            for al in range(m) for be in range(m - al)]
+
+
 class TestBuildMatrix:
+    @pytest.mark.parametrize("D, mults", [
+        (triangle(8), [3, 2, 2, 1]),
+        (diagram(1, 2, 3, 2, 4, 0, 1), [5, 1, 2]),  # orders beyond some degrees
+        (diagram(1, 1, 1), [4, 4]),
+        (triangle(1), [1]),
+    ])
+    def test_matches_entrywise_reference(self, D, mults):
+        p = PrimeFieldConfig().p
+        rng = np.random.default_rng(len(mults))
+        points = sample_points(len(mults) - 1, p, rng) + [(p - 1, p - 2)]
+        A = build_matrix(D, mults, points, p)
+        assert A.dtype == np.int64
+        assert A.shape == (sum(m * (m + 1) // 2 for m in mults), D.cells)
+        assert A.tolist() == _build_matrix_reference(D, mults, points, p)
+
     def test_simple_point_row(self):
         p = PrimeFieldConfig().p
         A = build_matrix(triangle(2), [1], [(5, 7)], p)
@@ -94,8 +149,7 @@ class TestRank:
 
 
     def test_scalar_kernel_matches_numpy_kernel(self):
-        # The scalar kernel is what numba compiles; run it as plain Python
-        # so its logic is checked where numba is absent.
+        # The blocked kernel against the plain-Python reference kernel.
         p = 2**31 - 1
         rng = np.random.default_rng(7)
         deficient = 0
@@ -113,10 +167,110 @@ class TestRank:
                     j, k = (int(x) for x in rng.integers(0, i, size=2))
                     A[i] = [(a * int(x) + b * int(y)) % p
                             for x, y in zip(A[j], A[k])]
-            want = _rank_mod_p_numpy(A.copy(), p)
-            assert _rank_mod_p_scalar(A.copy(), p) == want, A
+            want = _rank_mod_p_scalar(A.copy(), p)
+            assert rank_mod_p_inplace(A.copy(), p) == want, A
             deficient += want < min(m, n)
         assert deficient >= 20
+
+    def test_rejects_prime_too_large_for_exact_arithmetic(self):
+        # int64 products of residues overflow past 2^31: the kernel would
+        # return a wrong rank, so the modulus is refused up front
+        A = np.eye(5, dtype=np.int64)
+        assert rank(A, 2**31 - 1) == 5
+        for p in (2**31, 2**61 - 1):
+            with pytest.raises(ValueError, match="below 2"):
+                rank(A, p)
+        with pytest.raises(ValueError, match="below 2"):
+            build_matrix(triangle(2), [1], [(5, 7)], 2**61 - 1)
+
+
+P = 2**31 - 1
+W = PANEL
+
+
+def _random_deficient(m, n, seed):
+    """Random m x n residues with a zero row and a row combining two others."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, P, size=(m, n), dtype=np.int64)
+    if m >= 3:
+        A[m // 2] = 0
+        A[m - 1] = (3 * A[0] + A[1]) % P
+    return A
+
+
+class TestBlockedKernel:
+    """The blocked kernel against the reference at panel edges and at the
+    exactness bound."""
+
+    @pytest.mark.parametrize("m, n", [
+        (W - 1, W - 1), (W, W), (W + 1, W + 1), (2 * W + 1, 2 * W + 1),
+        (W - 7, 2 * W + 1), (W // 2, W + 1),  # m < w
+        (1, 2 * W + 1), (2 * W + 1, 1), (1, 1),
+        (2 * W + 3, W + 1), (3 * W, W - 1),  # tall
+        (W + 2, 2 * W + 5),  # wide
+    ])
+    def test_shapes(self, m, n):
+        A = _random_deficient(m, n, seed=m * 1000 + n)
+        assert rank_mod_p_inplace(A.copy(), P) == _rank_mod_p_scalar(A.copy(), P)
+
+    def test_entries_outside_0_to_p(self):
+        # the kernel reduces its input first: adding multiples of p, also
+        # negative ones, changes nothing
+        A = _random_deficient(W + 5, W + 3, seed=5)
+        want = _rank_mod_p_scalar(A.copy(), P)
+        shifted = A + P * np.random.default_rng(6).integers(-3, 4, size=A.shape)
+        assert rank_mod_p_inplace(shifted, P) == want
+        assert rank(np.array([[P, 1], [-2 * P, 3]]), P) == 1
+
+    def test_dependent_columns_across_panel_edge(self):
+        n = 2 * W + 1
+        A = _random_deficient(n + 4, n, seed=11)
+        A[:, 5] = 2 * A[:, 2] % P  # deficiency inside the first panel
+        A[:, W - 1] = 0  # a zero column at the end of the first panel
+        A[:, W] = (A[:, W - 2] + 3 * A[:, 1]) % P  # first column of the second
+        A[:, 2 * W] = A[:, W]  # first column of the third panel
+        want = _rank_mod_p_scalar(A.copy(), P)
+        assert want == n - 4
+        assert rank_mod_p_inplace(A.copy(), P) == want
+
+    def test_split_product_at_the_exactness_edge(self):
+        # PANEL terms, each the largest L entry times the largest 16-bit
+        # halves: the sums reach within 2^38 of 2^53 and must stay exact.
+        assert PANEL <= 64 and PANEL * (P_LIMIT - 2) * (2**16 - 1) < 2**53
+        big = [P - 1, 2**31 - 2**16 - 1]  # halves (32767, 65534), (32766, 65535)
+        U = np.array([[big[(i + j) % 2] for j in range(9)] for i in range(PANEL)],
+                     dtype=np.int64)
+        L = np.full((3, PANEL), float(P - 1))
+        X = np.array([[0] * 9, [P - 1] * 9, [1] * 9], dtype=np.int64)
+        want = [[(int(X[i, j]) - sum((P - 1) * int(U[k, j]) for k in range(PANEL))) % P
+                 for j in range(9)] for i in range(3)]
+        _sub_product(X, L, (U >> 16).astype(float), (U & 0xFFFF).astype(float), P)
+        assert X.tolist() == want
+
+    def test_all_entries_p_minus_1_with_full_panels(self):
+        # entries p-1 off the diagonal and 1 on it: every multiplier of the
+        # first pivot is p-1 and each of the first panels holds w pivots
+        n = 2 * W + 1
+        A = np.full((n, n), P - 1, dtype=np.int64)
+        np.fill_diagonal(A, 1)
+        assert rank_mod_p_inplace(A.copy(), P) == n == _rank_mod_p_scalar(A.copy(), P)
+        assert rank_mod_p_inplace(np.full((W + 3, n), P - 1, dtype=np.int64), P) == 1
+
+    @pytest.mark.parametrize("rows, cols, r", [(400, 420, 390), (430, 410, 40)])
+    def test_large_matrix_of_known_rank(self, rows, cols, r):
+        # A = B C with B = [I; B2] (rows x r) and C = [I | C2] (r x cols),
+        # multiplied with Python ints, so rank A = r exactly; rows and
+        # columns are then shuffled.
+        rng = np.random.default_rng(rows + r)
+        B2 = rng.integers(0, P, size=(rows - r, r)).astype(object)
+        C2 = rng.integers(0, P, size=(r, cols - r)).astype(object)
+        A = np.empty((rows, cols), dtype=object)
+        A[:r, :r] = np.eye(r, dtype=np.int64).astype(object)
+        A[:r, r:] = C2
+        A[r:, :r] = B2
+        A[r:, r:] = (B2 @ C2) % P
+        A = A[rng.permutation(rows)][:, rng.permutation(cols)].astype(np.int64)
+        assert rank(A, P) == r
 
 
 class TestCertificate:

@@ -12,6 +12,7 @@ from fatpoints.textio import (
     format_diagram,
     format_system,
     parse_diagram,
+    parse_mults,
     parse_system,
 )
 
@@ -60,6 +61,14 @@ class TestParseDiagram:
             with pytest.raises((ParseError, ValueError)):
                 parse_diagram(bad)
 
+    @pytest.mark.parametrize("text, pos", [
+        ("(2,1)", 1), ("(~3, 5)", 5), ("(1,2,4^3)", 5),
+    ])
+    def test_oversized_layer_names_its_position(self, text, pos):
+        with pytest.raises(ParseError, match="has size") as exc:
+            parse_diagram(text)
+        assert exc.value.pos == pos
+
     def test_round_trip(self):
         for D in [triangle(6), bar(6, 6, 6, 5, 5, 2),
                   bar(19, 18, 17, 16, 14, 10, 5)]:
@@ -88,3 +97,27 @@ class TestEntryBound:
         assert MAX_ENTRIES == 10_000
         assert parse_system("L(1;1^10000)").mults == (1,) * 10_000
         assert parse_diagram("(~10000)") == triangle(10_000)
+
+
+class TestIntegerLength:
+    @pytest.mark.parametrize("parse, text, pos", [
+        (parse_system, "L(" + "9" * 5000 + ";1)", 2),
+        (parse_system, "L(3; 2^" + "9" * 5000 + ")", 7),
+        (parse_diagram, "(~" + "9" * 5000 + ")", 2),
+        (parse_mults, "1, -" + "9" * 5000, 3),
+    ])
+    def test_too_long_integer_is_a_parse_error(self, parse, text, pos):
+        with pytest.raises(ParseError, match="integer too long") as exc:
+            parse(text)
+        assert exc.value.pos == pos
+
+
+class TestParseMults:
+    def test_lists(self):
+        assert parse_mults("") == ()
+        assert parse_mults(" 3, -1 ,2^3") == (3, -1, 2, 2, 2)
+
+    def test_error_position_is_in_the_given_text(self):
+        with pytest.raises(ParseError) as exc:
+            parse_mults("1,2)")
+        assert exc.value.pos == 3
