@@ -193,6 +193,8 @@ def reduce_cmd(ctx: click.Context, diagram_text: str, mults_text: str,
     D = _parse(parse_diagram, diagram_text)
     mults = _parse(parse_mults, mults_text)
     order = _parse(parse_mults, order_text) if order_text else None
+    if any(m < 0 for m in mults + (order or ())):
+        raise click.UsageError("reduce needs mults >= 0")
     trace = reduce_chain(D, mults, order=order)
     payload = {
         "diagram": str(D),
@@ -222,17 +224,19 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
     """Interpolation-matrix rank for SYSTEM or for --diagram/--mults."""
     if system:
         L = _parse(parse_system, system)
-        if any(m < 0 for m in L.mults) or L.degree < 0:
-            raise click.UsageError("rank needs d >= 0 and mults >= 0")
-        D = triangle(L.degree + 1)
-        mults = tuple(m for m in L.mults if m > 0)
-        label = str(L.canonical())
+        mults = L.mults
     elif diagram_text and mults_text:
         D = _parse(parse_diagram, diagram_text)
-        mults = tuple(m for m in _parse(parse_mults, mults_text) if m > 0)
-        label = f"{D}; {','.join(str(m) for m in mults)}"
+        mults = _parse(parse_mults, mults_text)
     else:
         raise click.UsageError("give SYSTEM or both --diagram and --mults")
+    if any(m < 0 for m in mults) or (system and L.degree < 0):
+        raise click.UsageError("rank needs d >= 0 and mults >= 0")
+    mults = tuple(m for m in mults if m > 0)  # a zero imposes no condition
+    if system:
+        D, label = triangle(L.degree + 1), str(L.canonical())
+    else:
+        label = f"{D}; {','.join(str(m) for m in mults)}"
     cfg = _field(p=prime, seed=seed)
     rng = task_rng(cfg, f"{D}|{','.join(str(m) for m in mults)}|cli")
     points = sample_points(len(mults), prime, rng)
@@ -265,7 +269,10 @@ def initial_cases_cmd(ctx: click.Context, m_: int, a_: int, k_: int, s_: int,
                       jobs: int, enumeration_only: bool, prime: int,
                       seed: int) -> None:
     """Certify the family (m, a, k) of staircase diagrams."""
-    spec = FamilySpec(m_, a_, k_)
+    try:
+        spec = FamilySpec(m_, a_, k_)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from None
     cfg = _field(p=prime, seed=seed)
     report = run_initial_cases(spec, s=s_, jobs=jobs, cfg=cfg,
                                enumeration_only=enumeration_only)

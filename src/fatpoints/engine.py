@@ -47,9 +47,18 @@ _MAX_DEPTH = 200
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Rank field, column cap and enabled stages of a classification.
+
+    ``DEFAULT_CONFIG`` is the one instance every call without a config
+    shares; it is immutable, like every EngineConfig and PrimeFieldConfig.
+    """
+
     field_cfg: PrimeFieldConfig = field(default_factory=PrimeFieldConfig)
     max_cols: int = 2000
     stages: tuple[str, ...] = ALL_STAGES
+
+
+DEFAULT_CONFIG = EngineConfig()
 
 
 def _empty(steps) -> Verdict:
@@ -58,26 +67,27 @@ def _empty(steps) -> Verdict:
 
 def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) -> Verdict:
     """Classify L as NonSpecial(dim) / Empty / MinusOneSpecial, or give up."""
-    cfg = cfg or EngineConfig()
+    cfg = cfg or DEFAULT_CONFIG
     if _depth > _MAX_DEPTH:
         return Verdict(INCONCLUSIVE, reason="recursion depth exceeded")
     steps: list[Step] = []
-    cur = L
+    cur, text = L, None  # text: str(cur), once the chain has formatted it
     if "standard_form" in cfg.stages:
         cur, chain = standard_form(L)
         if len(chain) > 1:
-            steps.append(
-                Step("standard_form", {"chain": [str(s) for s in chain]},
-                     before=str(L), after=str(cur))
-            )
+            names = [str(s) for s in chain]
+            text = names[-1]
+            steps.append(Step("standard_form", {"chain": names},
+                              before=names[0], after=text))
         if cur.degree < 0:
-            return _empty(steps + [Step("negative_degree", {}, before=str(cur))])
+            return _empty(steps + [Step("negative_degree", {}, before=text or str(cur))])
     if "negative" in cfg.stages and cur.degree >= 0 and any(m < 0 for m in cur.mults):
-        cur = cur.sorted_desc()
+        if "standard_form" not in cfg.stages:  # standard form leaves cur sorted
+            cur = cur.sorted_desc()
         stripped, fixed = strip_negative_mults(cur)
         steps.append(
             Step("strip_negative", {"components": list(fixed.components)},
-                 before=str(cur), after=str(stripped))
+                 before=text or str(cur), after=str(stripped))
         )
         sub = classify(stripped.canonical(), cfg, _depth + 1)
         if fixed.components:
@@ -131,7 +141,7 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
 
     Dimensions in the verdict are vector-space dimensions of V.
     """
-    cfg = cfg or EngineConfig()
+    cfg = cfg or DEFAULT_CONFIG
     mults = [m for m in mults if m != 0]
     if any(m < 0 for m in mults):
         raise ValueError("classify_space needs non-negative multiplicities")

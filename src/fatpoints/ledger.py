@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Iterator, Sequence
 
-from .engine import EngineConfig, classify
+from .engine import DEFAULT_CONFIG, EngineConfig, classify
 from .systems import (
     EMPTY,
     INCONCLUSIVE,
@@ -392,7 +392,7 @@ def iter_instances(entry: LedgerEntry, m_max: int = 20, k_max: int = 60,
 
 def verify_entry(entry: LedgerEntry, m_max: int = 20, k_max: int = 60,
                  r_max: int = 16, cfg: EngineConfig | None = None) -> EntryReport:
-    cfg = cfg or EngineConfig()
+    cfg = cfg or DEFAULT_CONFIG
     report = EntryReport(entry=entry)
     if not entry.concrete:
         _, excluded = _m_values(entry, 12, m_max)
@@ -426,7 +426,7 @@ class LedgerReport:
 def run_ledger(m_max: int = 20, k_max: int = 60, r_max: int = 16,
                cfg: EngineConfig | None = None,
                entry_id: str | None = None) -> LedgerReport:
-    cfg = cfg or EngineConfig()
+    cfg = cfg or DEFAULT_CONFIG
     summary = LedgerReport()
     for entry in load_entries():
         if entry_id is not None and entry.id != entry_id:

@@ -10,7 +10,7 @@ final classification, and the glueing bookkeeping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 # Verdict kinds
 NON_SPECIAL = "NonSpecial"
@@ -32,14 +32,13 @@ class LinearSystem:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
 
     # -- canonicalization (always explicit, never implicit) ------------
 
     def sorted_desc(self) -> "LinearSystem":
-        """Multiplicities stably sorted non-increasing; zeros kept."""
-        order = sorted(range(len(self.mults)), key=lambda i: (-self.mults[i], i))
-        return LinearSystem(self.degree, tuple(self.mults[i] for i in order))
+        """Multiplicities sorted non-increasing; zeros kept."""
+        return LinearSystem(self.degree, tuple(sorted(self.mults, reverse=True)))
 
     def canonical(self) -> "LinearSystem":
         """Sorted non-increasing with all zero multiplicities removed."""
@@ -68,14 +67,16 @@ class LinearSystem:
 def format_system(L: LinearSystem) -> str:
     """Render as ``L(d;m1^c1,...)`` grouping equal consecutive entries."""
     parts: list[str] = []
-    i, ms = 0, L.mults
-    while i < len(ms):
-        j = i
-        while j < len(ms) and ms[j] == ms[i]:
-            j += 1
-        n = j - i
-        parts.append(f"{ms[i]}^{n}" if n > 1 else f"{ms[i]}")
-        i = j
+    prev, n = None, 0  # the current run: n entries equal to prev
+    for m in L.mults:
+        if m == prev:
+            n += 1
+            continue
+        if n:
+            parts.append(f"{prev}^{n}" if n > 1 else f"{prev}")
+        prev, n = m, 1
+    if n:
+        parts.append(f"{prev}^{n}" if n > 1 else f"{prev}")
     return f"L({L.degree};{','.join(parts)})"
 
 
@@ -109,7 +110,8 @@ class Verdict:
         return self.kind in (NON_SPECIAL, EMPTY)
 
     def prepend(self, steps: tuple[Step, ...]) -> "Verdict":
-        return replace(self, certificate=steps + self.certificate)
+        return Verdict(self.kind, self.dim, steps + self.certificate,
+                       self.axioms_used, self.reason)
 
 
 # ---------------------------------------------------------------------
@@ -176,9 +178,9 @@ def standard_form(L: LinearSystem) -> tuple[LinearSystem, tuple[LinearSystem, ..
     chain = [L]
     cur = L
     while True:
-        srt = cur.sorted_desc()
-        if srt.mults != cur.mults:
-            cur = srt
+        ms = tuple(sorted(cur.mults, reverse=True))
+        if ms != cur.mults:
+            cur = LinearSystem(cur.degree, ms)
             chain.append(cur)
         if cur.degree < 0:
             break

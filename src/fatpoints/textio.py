@@ -24,9 +24,22 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_INT = re.compile(r"-?\d+")
-_COUNT = re.compile(r"\d+")
+_WS = re.compile(r"\s*")
+_INT = re.compile(r"\s*(-?\d+)")
+_COUNT = re.compile(r"\s*(\d+)")
+# An item and the comma after it, whitespace anywhere: (space)(INT)^(COUNT)(,).
+# Every part is optional, so the match always succeeds, and a part the
+# grammar needs but the text lacks is an empty group that marks the error.
+_MULT_ITEM = re.compile(r"(\s*)(-?\d+)?(?:\s*\^\s*(\d*))?\s*(,?)")
+_LAYER_ITEM = re.compile(r"(\s*)(\d+)?(?:\s*\^\s*(\d*))?\s*(,?)")
 MAX_ENTRIES = 10_000  # multiplicities of a system, layers of a diagram
+
+
+def _int(text: str, pos: int, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise ParseError(text, pos, "integer too long") from None
 
 
 class _Scanner:
@@ -35,19 +48,17 @@ class _Scanner:
         self.pos = 0
         self.start = 0  # where the last integer began
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def skip_ws(self) -> int:
+        self.pos = _WS.match(self.text, self.pos).end()
+        return self.pos
 
     def expect(self, lit: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(lit, self.pos):
+        if not self.text.startswith(lit, self.skip_ws()):
             raise ParseError(self.text, self.pos, f"expected {lit!r}")
         self.pos += len(lit)
 
     def peek(self, lit: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(lit, self.pos)
+        return self.text.startswith(lit, self.skip_ws())
 
     def take(self, lit: str) -> bool:
         if self.peek(lit):
@@ -56,42 +67,48 @@ class _Scanner:
         return False
 
     def integer(self, pattern: re.Pattern = _INT) -> int:
-        self.skip_ws()
         m = pattern.match(self.text, self.pos)
         if not m:
-            raise ParseError(self.text, self.pos, "expected an integer")
-        try:
-            value = int(m.group())
-        except ValueError:  # past the interpreter's int-string digit limit
-            raise ParseError(self.text, self.pos, "integer too long") from None
-        self.start, self.pos = self.pos, m.end()
-        return value
+            raise ParseError(self.text, self.skip_ws(), "expected an integer")
+        self.start, self.pos = m.start(1), m.end()
+        return _int(self.text, self.start, m.group(1))
 
     def done(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.skip_ws() != len(self.text):
             raise ParseError(self.text, self.pos, "unexpected trailing input")
 
 
-def _check_room(sc: _Scanner, used: int, n: int) -> None:
-    """Raise ParseError at the integer just read if `used` + n entries
-    would pass MAX_ENTRIES."""
+def _check_room(text: str, pos: int, used: int, n: int) -> None:
+    """Raise ParseError at pos if `used` + n entries would pass MAX_ENTRIES."""
     if used + n > MAX_ENTRIES:
-        raise ParseError(sc.text, sc.start, f"more than {MAX_ENTRIES} entries")
+        raise ParseError(text, pos, f"more than {MAX_ENTRIES} entries")
 
 
 def _items(sc: _Scanner, layers: bool, out: list[int]) -> None:
-    """Read Item ("," Item)* into out.  Diagram layers are non-negative and
-    layer j holds at most j cells; multiplicities may be negative."""
+    """Read Item ("," Item)* into out, one match per item.  Diagram layers
+    are non-negative and layer j holds at most j cells; multiplicities may
+    be negative."""
+    text, item = sc.text, _LAYER_ITEM if layers else _MULT_ITEM
     while True:
-        v = sc.integer(_COUNT if layers else _INT)
+        m = item.match(text, sc.pos)
+        _, value, count, comma = m.groups()
+        if value is None:
+            raise ParseError(text, m.end(1), "expected an integer")
+        at = m.start(2)
+        v = _int(text, at, value)
         if layers and v > len(out) + 1:
             j = len(out) + 1
-            raise ParseError(sc.text, sc.start, f"layer {j} has size {v}, allowed 0..{j}")
-        n = sc.integer(_COUNT) if sc.take("^") else 1
-        _check_room(sc, len(out), n)
+            raise ParseError(text, at, f"layer {j} has size {v}, allowed 0..{j}")
+        n = 1
+        if count is not None:
+            at = m.start(3)
+            if not count:
+                raise ParseError(text, at, "expected an integer")
+            n = _int(text, at, count)
+        _check_room(text, at, len(out), n)
         out.extend([v] * n)
-        if not sc.take(","):
+        sc.pos = m.end()
+        if not comma:
             return
 
 
@@ -124,7 +141,7 @@ def parse_diagram(text: str) -> Diagram:
     layers: list[int] = []
     if sc.take("~"):
         a = sc.integer(_COUNT)
-        _check_room(sc, 0, a)
+        _check_room(sc.text, sc.start, 0, a)
         layers.extend(range(1, a + 1))
         if not sc.take(","):
             sc.expect(")")

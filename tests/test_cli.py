@@ -54,6 +54,25 @@ class TestUsageErrors:
         assert isinstance(r.exception, SystemExit)
         assert f"at position {pos} in" in r.output
 
+    @pytest.mark.parametrize("args, message", [
+        (["reduce", "--diagram", "(~3)", "--mults", "-1"], "reduce needs mults >= 0"),
+        (["reduce", "--diagram", "(~3)", "--mults", "2", "--order", "2,-1"],
+         "reduce needs mults >= 0"),
+        (["rank", "--diagram", "(~3)", "--mults", "-2"],
+         "rank needs d >= 0 and mults >= 0"),
+        (["rank", "--diagram", "(~3)", "--mults", "2,0,-1"],
+         "rank needs d >= 0 and mults >= 0"),
+        (["rank", "L(-1;)"], "rank needs d >= 0 and mults >= 0"),
+        (["initial-cases", "--m", "0", "--a", "0", "--k", "0", "--enumeration-only"],
+         "need m >= 1 and k >= 0"),
+        (["initial-cases", "--m", "3", "--a", "4", "--k", "0", "--enumeration-only"],
+         "family (3,4,0) violates a >= m (and a >= 2m when k = 0)"),
+    ])
+    def test_bad_values(self, args, message):
+        r = run(*args)
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
+        assert message in r.output
+
     @pytest.mark.parametrize("prime", ["2305843009213693951", "1000000", "1048577"])
     def test_bad_prime(self, prime):
         r = run("rank", "--prime", prime, "L(4;2^5)")
@@ -144,6 +163,11 @@ class TestReduceAndRank:
         r = run("--json", "rank", "--diagram", "(~5)", "--mults", "2^4,1^3")
         out = json.loads(r.output)
         assert out["full_rank"] is True
+
+    def test_rank_diagram_drops_zero_mults(self):
+        r = run("--json", "rank", "--diagram", "(~5)", "--mults", "2^4,0,1^3,0")
+        assert r.exit_code == 0
+        assert json.loads(r.output)["input"] == "(~5); 2,2,2,2,1,1,1"
 
     def test_rank_needs_input(self):
         assert run("rank").exit_code != 0

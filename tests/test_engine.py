@@ -5,7 +5,14 @@ from itertools import combinations
 import pytest
 
 from fatpoints.diagrams import triangle
-from fatpoints.engine import ALL_STAGES, EngineConfig, classify, classify_space
+from fatpoints.engine import (
+    ALL_STAGES,
+    DEFAULT_CONFIG,
+    EngineConfig,
+    classify,
+    classify_space,
+)
+from fatpoints.fplinalg import PrimeFieldConfig
 from fatpoints.systems import (
     EMPTY,
     INCONCLUSIVE,
@@ -93,3 +100,31 @@ class TestClassifySpace:
         cfg = EngineConfig(stages=("rank",))
         v = classify_space(triangle(5), [2] * 4 + [1] * 3, cfg)
         assert v.kind == NON_SPECIAL and v.dim == 0
+
+
+class TestDefaultConfig:
+    TEXTS = ["L(4;2^5)", "L(28;12,8^9)", "L(32;12,10^9)", "L(-2;3)", "L(8;2,3,-3,1,-1)"]
+
+    def test_calls_without_a_config_build_no_field_config(self, monkeypatch):
+        built = []
+        post_init = PrimeFieldConfig.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PrimeFieldConfig, "__post_init__", counting)
+        for text in self.TEXTS:
+            classify(parse_system(text))
+        classify_space(triangle(5), [2] * 4 + [1] * 3)
+        assert built == []
+        EngineConfig()
+        assert len(built) == 1  # the hook itself counts constructions
+
+    def test_default_is_the_plain_config(self):
+        assert DEFAULT_CONFIG == EngineConfig()
+        for text in self.TEXTS:
+            L = parse_system(text)
+            assert classify(L) == classify(L, EngineConfig())
+        with pytest.raises(AttributeError):
+            DEFAULT_CONFIG.max_cols = 1

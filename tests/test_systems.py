@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from fatpoints.systems import (
@@ -183,3 +186,55 @@ class TestFormatting:
     def test_same_as(self):
         assert L(9, 3, 5).same_as(L(9, 5, 3, 0))
         assert not L(9, 3, 5).same_as(L(8, 5, 3))
+
+    def test_empty_and_single_entries(self):
+        assert format_system(L(0)) == "L(0;)"
+        assert format_system(L(-3, -1)) == "L(-3;-1)"
+        assert L(2).sorted_desc() == L(2)
+
+
+def _sorted_desc_by_index(ms):
+    """The index sort sorted_desc used before: stable on (-m, i)."""
+    return tuple(ms[i] for i in sorted(range(len(ms)), key=lambda i: (-ms[i], i)))
+
+
+def _format_by_index(d, ms):
+    """The two-index run scan format_system used before."""
+    parts, i = [], 0
+    while i < len(ms):
+        j = i
+        while j < len(ms) and ms[j] == ms[i]:
+            j += 1
+        n = j - i
+        parts.append(f"{ms[i]}^{n}" if n > 1 else f"{ms[i]}")
+        i = j
+    return f"L({d};{','.join(parts)})"
+
+
+class TestAgainstIndexScans:
+    """sorted_desc and format_system agree with the index-based code they
+    replaced, on random signed tuples with zeros and long runs."""
+
+    def cases(self):
+        rng = random.Random(20)
+        for _ in range(3000):
+            width = rng.choice([1, 3, 15])
+            ms = [rng.randint(-width, width) for _ in range(rng.randint(0, 14))]
+            if ms and rng.random() < 0.5:  # repeat entries into runs
+                ms = [m for m in ms for _ in range(rng.randint(1, 4))]
+            yield rng.randint(-5, 40), tuple(ms)
+
+    def test_sorted_desc(self):
+        for d, ms in self.cases():
+            assert L(d, *ms).sorted_desc() == LinearSystem(d, _sorted_desc_by_index(ms))
+
+    def test_format_system(self):
+        for d, ms in self.cases():
+            assert format_system(L(d, *ms)) == _format_by_index(d, ms)
+            srt = _sorted_desc_by_index(ms)
+            assert format_system(L(d, *srt)) == _format_by_index(d, srt)
+
+    def test_entries_are_coerced_to_int(self):
+        x = LinearSystem(np.int64(7), np.array([3, 0, -2], dtype=np.int64))
+        assert x.mults == (3, 0, -2) and all(type(m) is int for m in x.mults)
+        assert format_system(x) == "L(7;3,0,-2)"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from fatpoints.textio import (
     parse_mults,
     parse_system,
 )
+
+CORPUS = Path(__file__).parent / "data" / "parse_corpus.jsonl"
 
 
 class TestParseSystem:
@@ -121,3 +125,31 @@ class TestParseMults:
         with pytest.raises(ParseError) as exc:
             parse_mults("1,2)")
         assert exc.value.pos == 3
+
+
+class TestPinnedCorpus:
+    """Every line of parse_corpus.jsonl is [parser, text, "ok", value] or
+    [parser, text, message, pos], recorded from the scanner that read one
+    character at a time.  The corpus puts ASCII and Unicode whitespace
+    (and a zero-width space, which is not whitespace) at every gap of
+    valid and malformed inputs: "^" with no count, "^-1", trailing and
+    doubled commas, "L(;)", "L(1;)x", empty diagram items and oversized
+    counts among them."""
+
+    PARSERS = {"system": parse_system, "mults": parse_mults, "diagram": parse_diagram}
+
+    def test_results_messages_and_positions_are_unchanged(self):
+        rows = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+        assert len(rows) > 1000
+        for kind, text, outcome, expected in rows:
+            parse = self.PARSERS[kind]
+            if outcome == "ok":
+                v = parse(text)
+                got = (format_system(v) if kind == "system" else
+                       format_diagram(v) if kind == "diagram" else list(v))
+                assert got == expected, (kind, text)
+                continue
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert (str(exc.value), exc.value.pos) == \
+                (f"{outcome} at position {expected} in {text!r}", expected), (kind, text)
