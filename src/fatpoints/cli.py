@@ -164,7 +164,7 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
 
 def _trace_text(trace: ReductionTrace, mults) -> str:
     lines = [f"{'diagram':<40} {'cells':>6}  v"]
-    lines.append(f"{str(trace.initial.canonical()):<40} "
+    lines.append(f"{str(trace.initial):<40} "
                  f"{trace.initial.cells:>6}")
     for step in trace.steps:
         v = "(" + ",".join(str(x) for x in step.v) + ")"

@@ -2,9 +2,11 @@
 
 A diagram is a list of layer sizes (c1,...,cn) with cj <= j; the j-th
 layer is the set of monomials of total degree j-1 with y-exponent below
-cj.  Reduction removes exactly C(m+1,2) cells from the last m layers and
-is sound for non-specialty: if the reduced space is non-special, so is
-the original one.
+cj.  Trailing zero layers hold no monomial and are trimmed when a
+diagram is built, so two diagrams with the same monomials are equal.
+Reduction removes exactly C(m+1,2) cells from the last m layers and is
+sound for non-specialty: if the reduced space is non-special, so is the
+original one.
 """
 from __future__ import annotations
 
@@ -26,12 +28,18 @@ class TooShortError(ValueError):
 
 @dataclass(frozen=True)
 class Diagram:
-    """Ordered layer sizes; canonical form trims trailing zero layers."""
+    """Ordered layer sizes, with trailing zero layers trimmed on
+    construction: every Diagram is canonical, and == compares the
+    monomial sets."""
 
     layers: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         layers = tuple(int(c) for c in self.layers)
+        n = len(layers)
+        while n and layers[n - 1] == 0:
+            n -= 1
+        layers = layers[:n]
         object.__setattr__(self, "layers", layers)
         for j, c in enumerate(layers, start=1):
             if c < 0 or c > j:
@@ -44,15 +52,6 @@ class Diagram:
     @property
     def nlayers(self) -> int:
         return len(self.layers)
-
-    def canonical(self) -> "Diagram":
-        layers = list(self.layers)
-        while layers and layers[-1] == 0:
-            layers.pop()
-        return Diagram(tuple(layers))
-
-    def same_as(self, other: "Diagram") -> bool:
-        return self.canonical().layers == other.canonical().layers
 
     def monomials(self) -> list[tuple[int, int]]:
         """Cells as exponent pairs (a, b), layer by layer."""
@@ -67,8 +66,8 @@ class Diagram:
 
 
 def diagram(*layers: int) -> Diagram:
-    """Build a diagram from explicit layer sizes, trimming trailing zeros."""
-    return Diagram(tuple(layers)).canonical()
+    """Build a diagram from explicit layer sizes."""
+    return Diagram(layers)
 
 
 def triangle(a: int) -> Diagram:
@@ -78,12 +77,12 @@ def triangle(a: int) -> Diagram:
 
 def bar(a: int, *rest: int) -> Diagram:
     """The diagram (1, 2, ..., a, rest...)."""
-    return Diagram(tuple(range(1, a + 1)) + tuple(rest)).canonical()
+    return Diagram(tuple(range(1, a + 1)) + rest)
 
 
 def format_diagram(D: Diagram) -> str:
     """Render using the ``~a`` shorthand for a leading staircase."""
-    layers = D.canonical().layers
+    layers = D.layers
     a = 0
     while a < len(layers) and layers[a] == a + 1:
         a += 1
@@ -125,7 +124,6 @@ def reduce_m(D: Diagram, m: int) -> tuple[Diagram, tuple[int, ...]] | None:
     every vj can actually be removed from its Vj, and then removes
     exactly C(m+1,2) cells.
     """
-    D = D.canonical()
     if m < 1:
         raise ValueError("reduce_m needs m >= 1")
     if D.nlayers < m:
@@ -143,7 +141,7 @@ def reduce_m(D: Diagram, m: int) -> tuple[Diagram, tuple[int, ...]] | None:
         avail.discard(vj)
     new_tail = [tail[i] - v[i] for i in range(m)]
     assert all(x >= 0 for x in new_tail)
-    reduced = Diagram(D.layers[:-m] + tuple(new_tail)).canonical()
+    reduced = Diagram(D.layers[:-m] + tuple(new_tail))
     assert reduced.cells == D.cells - comb(m + 1, 2)
     return reduced, tuple(v)
 
@@ -165,16 +163,11 @@ class ReductionTrace:
 
     @property
     def final(self) -> Diagram:
-        return self.steps[-1].result if self.steps else self.initial.canonical()
+        return self.steps[-1].result if self.steps else self.initial
 
     @property
     def consumed_all(self) -> bool:
         return not self.residual_mults
-
-    @property
-    def certified_dim(self) -> int | None:
-        """Space dimension certified when every condition was consumed."""
-        return self.final.cells if self.consumed_all else None
 
 
 def reduce_chain(D: Diagram, mults, order=None) -> ReductionTrace:
@@ -188,7 +181,7 @@ def reduce_chain(D: Diagram, mults, order=None) -> ReductionTrace:
     seq = list(mults) if order is None else list(order)
     if any(m < 0 for m in seq):
         raise ValueError("reduce_chain needs non-negative multiplicities")
-    cur = D.canonical()
+    cur = D
     steps: list[ReductionStep] = []
     for i, m in enumerate(seq):
         if m == 0:
@@ -206,12 +199,8 @@ def reduce_chain(D: Diagram, mults, order=None) -> ReductionTrace:
 
 def subset(D: Diagram, D2: Diagram) -> bool:
     """Layerwise comparison D <= D2 (missing layers count as zero)."""
-    a, b = D.canonical().layers, D2.canonical().layers
-    if len(a) > len(b):
-        return all(c == 0 for c in a[len(b):]) and all(
-            x <= y for x, y in zip(a, b)
-        )
-    return all(x <= y for x, y in zip(a, b))
+    a, b = D.layers, D2.layers
+    return len(a) <= len(b) and all(x <= y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -234,7 +223,6 @@ def try_empty_by_enlarge(D: Diagram, mults) -> EnlargeCertificate | None:
     """
     mults = [m for m in mults if m > 0]
     conditions = sum(comb(m + 1, 2) for m in mults)
-    D = D.canonical()
     if D.cells > conditions:
         return None
     # The final diagram is empty with all conditions consumed only when

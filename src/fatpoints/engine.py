@@ -32,7 +32,6 @@ from .systems import (
     Step,
     Verdict,
     classify_by_axioms,
-    classify_by_simple_points,
     standard_form,
     strip_negative_mults,
 )
@@ -112,7 +111,7 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
     canon = cur.canonical()
     if "axioms" in cfg.stages:
         try:
-            v = classify_by_axioms(canon) or classify_by_simple_points(canon)
+            v = classify_by_axioms(canon)
         except ValueError:
             v = None  # not in standard form (possible under restricted stages)
         if v is not None:
@@ -145,7 +144,6 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
     mults = [m for m in mults if m != 0]
     if any(m < 0 for m in mults):
         raise ValueError("classify_space needs non-negative multiplicities")
-    D = D.canonical()
     vs = vdim_space(D, mults)
     trace = None
     if "reduction" in cfg.stages:

@@ -36,7 +36,7 @@ DEFAULT_PRIME = 2**31 - 1
 
 
 class DegeneratePointsError(ValueError):
-    """Raised when sampled points repeat (code DEGENERATE)."""
+    """Raised when interpolation points repeat (code DEGENERATE)."""
 
     code = "DEGENERATE"
 
@@ -136,7 +136,7 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
     if len(set(points)) != len(points):
         raise DegeneratePointsError("repeated interpolation points")
     _check_modulus(p)
-    mons = D.canonical().monomials()
+    mons = D.monomials()
     n = len(mons)
     rows = sum(comb(m + 1, 2) for m in mults)
     if n == 0 or rows == 0:
@@ -188,7 +188,6 @@ def certify_nonspecial_rank(
     (rank deficiency at special points proves nothing).
     """
     cfg = cfg or PrimeFieldConfig()
-    D = D.canonical()
     mults = [m for m in mults]
     if any(m < 1 for m in mults):
         raise ValueError("certify_nonspecial_rank needs multiplicities >= 1")
@@ -201,14 +200,8 @@ def certify_nonspecial_rank(
         step = Step("rank", {"rows": 0, "cols": cols, "rank": 0}, before=str(D))
         return Verdict(NON_SPECIAL, dim=cols, certificate=(step,))
     for attempt in range(1, cfg.attempts + 1):
-        while True:
-            try:
-                pts = sample_points(len(mults), cfg.p, rng)
-                A = build_matrix(D, mults, pts, cfg.p)
-                break
-            except DegeneratePointsError:
-                continue
-        rk = rank(A, cfg.p)
+        pts = sample_points(len(mults), cfg.p, rng)
+        rk = rank(build_matrix(D, mults, pts, cfg.p), cfg.p)
         if rk == min(rows, cols):
             step = Step(
                 "rank",

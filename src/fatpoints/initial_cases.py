@@ -60,50 +60,31 @@ def _star_ok(spec: FamilySpec, pos: int, x: int, y: int) -> bool:
     return x + (x - y + sy - sx) * spec.m >= sx
 
 
-def _gen_ok(spec: FamilySpec, pos: int, x: int, y: int) -> bool:
-    """Generation constraint for the transition from x to y at (pos, pos+1).
+def _successors(spec: FamilySpec, pos: int, x: int) -> range:
+    """Values the layer after x may take, x at tail position pos.
 
-    k > 0: non-increasing.  k = 0: y <= x + 1, and a rise (throwout
-    inequality on a rising pair) forces x to sit on the staircase.
+    Position 0 is the last source layer before the tail, which holds a.
+    k > 0: non-increasing.  k = 0: up to x + 1, and a rise needs the
+    throwout inequality, which forces x to sit on the staircase.
     """
     if spec.k > 0:
-        return 0 <= y <= x
-    if not 0 <= y <= x + 1:
-        return False
-    if y == x + 1 and y > 0:
-        return _star_ok(spec, pos, x, y)
-    return True
-
-
-def _first_values(spec: FamilySpec) -> range:
-    hi = spec.a if spec.k > 0 else spec.a + 1
-    return range(0, hi + 1)
+        return range(x + 1)
+    return range(x + 2 if _star_ok(spec, pos, x, x + 1) else x + 1)
 
 
 def tails(spec: FamilySpec) -> Iterator[tuple[int, ...]]:
     """All tails (a1,...,a_{m-1}) of the family, in lexicographic order."""
     n = spec.m - 1
-    if n == 0:
-        yield ()
-        return
 
-    def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(prefix: list[int], x: int) -> Iterator[tuple[int, ...]]:
         pos = len(prefix)
         if pos == n:
             yield tuple(prefix)
             return
-        if pos == 0:
-            values = _first_values(spec)
-        else:
-            x = prefix[-1]
-            hi = x if spec.k > 0 else min(x + 1, spec.a + pos + 1)
-            values = range(0, hi + 1)
-        for v in values:
-            if pos > 0 and not _gen_ok(spec, pos, prefix[-1], v):
-                continue
-            yield from rec(prefix + [v])
+        for y in _successors(spec, pos, x):
+            yield from rec(prefix + [y], y)
 
-    yield from rec([])
+    yield from rec([], spec.a)
 
 
 def tail_diagram(spec: FamilySpec, tail: tuple[int, ...]) -> Diagram:
@@ -120,18 +101,16 @@ def throwout_tail(spec: FamilySpec, tail: tuple[int, ...]) -> bool:
 
 
 def _count(spec: FamilySpec, with_throwout: bool) -> int:
-    """Count tails by dynamic programming over (position, last value)."""
-    n = spec.m - 1
-    if n == 0:
-        return 1
-    counts = {v: 1 for v in _first_values(spec)}
-    for pos in range(1, n):
+    """Count tails by dynamic programming over (position, last value).
+
+    The throwout inequality holds for every first value, so checking it
+    on the pair against the source layer as well changes no count.
+    """
+    counts = {spec.a: 1}
+    for pos in range(spec.m - 1):
         nxt: dict[int, int] = {}
         for x, c in counts.items():
-            hi = x if spec.k > 0 else min(x + 1, spec.a + pos + 1)
-            for y in range(hi + 1):
-                if not _gen_ok(spec, pos, x, y):
-                    continue
+            for y in _successors(spec, pos, x):
                 if with_throwout and not _star_ok(spec, pos, x, y):
                     continue
                 nxt[y] = nxt.get(y, 0) + c
@@ -218,17 +197,21 @@ class InitialCasesReport:
         return "\n".join(lines)
 
 
-def _certify_group(args: tuple) -> tuple[tuple[int, ...], bool]:
-    """Certify V(R; m^p(R)) and V(R; m^(p(R)+1)) non-special by rank."""
+def _certify_group(args: tuple) -> tuple[tuple[int, ...], bool, int]:
+    """Certify V(R; m^p(R)) and V(R; m^(p(R)+1)) non-special by rank.
+
+    Returns R's layers, whether both certificates held and how many ran:
+    the second runs only when the first held.
+    """
     layers, m, cfg = args
     R = Diagram(layers)
     p_cnt = p_of(R, m)
-    for count in (p_cnt, p_cnt + 1):
+    for ran, count in enumerate((p_cnt, p_cnt + 1), start=1):
         key = f"{R}|{m}x{count}"
         v = certify_nonspecial_rank(R, [m] * count, cfg, key=key)
         if v.kind != NON_SPECIAL:
-            return layers, False
-    return layers, True
+            return layers, False, ran
+    return layers, True, 2
 
 
 def run_initial_cases(
@@ -280,8 +263,8 @@ def run_initial_cases(
                 results = pool.map(_certify_group, tasks)
         else:
             results = [_certify_group(t) for t in tasks]
-        ok_keys = {k for k, ok in results if ok}
-        report.checked += 2 * len(tasks)
+        ok_keys = {k for k, ok, _ in results if ok}
+        report.checked += sum(ran for _, _, ran in results)
         next_pending = [D for k in keys if k not in ok_keys for D in groups[k]]
         next_pending.extend(unreduced)
         report.levels.append(

@@ -33,7 +33,6 @@ from .systems import (
     LinearSystem,
     Verdict,
     classify_by_axioms,
-    classify_by_simple_points,
     edim,
     glue,
     standard_form,
@@ -176,7 +175,7 @@ def execute_method(
             verdict = classify(cur, cfg)
             break
         canon = cur.canonical()
-        v = classify_by_axioms(canon) or classify_by_simple_points(canon)
+        v = classify_by_axioms(canon)
         if v is not None:
             verdict = v
             break

@@ -52,11 +52,6 @@ class LinearSystem:
 
     # -- convenience ---------------------------------------------------
 
-    @property
-    def npoints(self) -> int:
-        """Number of strictly positive multiplicities."""
-        return sum(1 for m in self.mults if m > 0)
-
     def count(self, m: int) -> int:
         return sum(1 for x in self.mults if x == m)
 
@@ -140,11 +135,6 @@ def edim(L: LinearSystem) -> int:
 # Cremona transformation and standard form
 
 
-def _padded3(mults: tuple[int, ...]) -> tuple[int, int, int]:
-    ms = mults + (0, 0, 0)
-    return ms[0], ms[1], ms[2]
-
-
 def cremona(L: LinearSystem) -> LinearSystem:
     """Quadratic transformation based on the first three points.
 
@@ -164,8 +154,7 @@ def is_standard_form(L: LinearSystem) -> bool:
         return True
     if any(L.mults[i] < L.mults[i + 1] for i in range(len(L.mults) - 1)):
         return False
-    m1, m2, m3 = _padded3(L.mults)
-    return L.degree - (m1 + m2 + m3) >= 0
+    return L.degree >= sum(L.mults[:3])
 
 
 def standard_form(L: LinearSystem) -> tuple[LinearSystem, tuple[LinearSystem, ...]]:
@@ -182,10 +171,7 @@ def standard_form(L: LinearSystem) -> tuple[LinearSystem, tuple[LinearSystem, ..
         if ms != cur.mults:
             cur = LinearSystem(cur.degree, ms)
             chain.append(cur)
-        if cur.degree < 0:
-            break
-        m1, m2, m3 = _padded3(cur.mults)
-        if cur.degree - (m1 + m2 + m3) >= 0:
+        if cur.degree < 0 or cur.degree >= sum(cur.mults[:3]):
             break
         cur = cremona(cur)
         chain.append(cur)
@@ -233,49 +219,39 @@ def strip_negative_mults(L: LinearSystem) -> tuple[LinearSystem, FixedPart]:
 # axiom knowledge base
 
 
-def _check_axiom_pre(L: LinearSystem) -> None:
+def classify_by_axioms(L: LinearSystem) -> Verdict | None:
+    """Classify a standard-form, non-negative system by known results.
+
+    The rules are tried in this order:
+
+    * POINTS_LE_9: the system is based on at most 9 points;
+    * MULT_LE_11: every multiplicity is at most 11;
+    * SIMPLE_POINTS: at most 9 multiplicities are >= 2.  Dropping the
+      simple points leaves a standard-form system on at most 9 points,
+      which is non-special (POINTS_LE_9), and general simple points then
+      impose independent conditions.
+
+    A system one of them covers is non-special, hence empty precisely
+    when its expected dimension is -1; otherwise the result is None.
+    """
     if L.degree < 0 or not is_standard_form(L) or any(m < 0 for m in L.mults):
         raise ValueError(
             f"axioms apply only to standard-form systems with d >= 0 and "
             f"non-negative multiplicities, got {L}"
         )
-
-
-def _axiom_verdict(L: LinearSystem, axioms: tuple[str, ...]) -> Verdict:
+    positive = [m for m in L.mults if m > 0]
+    if len(positive) <= 9:
+        axioms: tuple[str, ...] = (POINTS_LE_9,)
+    elif max(positive) <= 11:
+        axioms = (MULT_LE_11,)
+    elif sum(1 for m in positive if m >= 2) <= 9:
+        axioms = (SIMPLE_POINTS, POINTS_LE_9)
+    else:
+        return None
     e = edim(L)
     kind = EMPTY if e == -1 else NON_SPECIAL
     step = Step("axiom", {"axioms": list(axioms), "edim": e}, before=str(L))
     return Verdict(kind, dim=e, certificate=(step,), axioms_used=axioms)
-
-
-def classify_by_axioms(L: LinearSystem) -> Verdict | None:
-    """Classify a standard-form, non-negative system by known results.
-
-    Applies when the system is based on at most 9 points or when all
-    multiplicities are bounded by 11; such a standard-form system is
-    non-special, hence empty precisely when its expected dimension
-    is -1.
-    """
-    _check_axiom_pre(L)
-    positive = [m for m in L.mults if m > 0]
-    if len(positive) <= 9:
-        return _axiom_verdict(L, (POINTS_LE_9,))
-    if not positive or max(positive) <= 11:
-        return _axiom_verdict(L, (MULT_LE_11,))
-    return None
-
-
-def classify_by_simple_points(L: LinearSystem) -> Verdict | None:
-    """Classify when at most 9 multiplicities are >= 2.
-
-    Dropping the simple points leaves a standard-form system on at most
-    9 points, which is non-special; general simple points then impose
-    independent conditions, so the full system is non-special as well.
-    """
-    _check_axiom_pre(L)
-    if sum(1 for m in L.mults if m >= 2) <= 9:
-        return _axiom_verdict(L, (SIMPLE_POINTS, POINTS_LE_9))
-    return None
 
 
 # ---------------------------------------------------------------------

@@ -146,12 +146,12 @@ def parse_diagram(text: str) -> Diagram:
         if not sc.take(","):
             sc.expect(")")
             sc.done()
-            return Diagram(tuple(layers)).canonical()
+            return Diagram(layers)
     if not sc.peek(")"):
         _items(sc, True, layers)
     sc.expect(")")
     sc.done()
-    return Diagram(tuple(layers)).canonical()
+    return Diagram(layers)
 
 
 __all__ = [

@@ -79,12 +79,12 @@ def test_criterion_1_worked_example():
         trace = reduce_chain(triangle(32), (12,) + (9,) * 9)
         elapsed = time.perf_counter() - t0
         assert trace.initial.cells == 528
-        assert trace.steps[0].result.same_as(bar(19, *[20] * 13))
+        assert trace.steps[0].result == bar(19, *[20] * 13)
         assert trace.steps[0].result.cells == 450
-        assert trace.steps[4].result.same_as(bar(19, 18, 17, 16, 14, 10, 5))
+        assert trace.steps[4].result == bar(19, 18, 17, 16, 14, 10, 5)
         assert trace.steps[4].result.cells == 270
         assert trace.consumed_all
-        assert trace.final.same_as(bar(6, 6, 6, 5, 5, 2))
+        assert trace.final == bar(6, 6, 6, 5, 5, 2)
         assert trace.final.cells == 45
         assert elapsed < 0.010
 
@@ -263,7 +263,7 @@ def test_criterion_8_property_suites():
         for _ in range(2_000):
             x = _random_system(rng).canonical()
             assert parse_system(format_system(x)) == x
-            D = _random_diagram(rng).canonical()
+            D = _random_diagram(rng)
             assert parse_diagram(format_diagram(D)) == D
 
 

@@ -83,7 +83,7 @@ def _build_matrix_reference(D, mults, points, p):
         return out
 
     return [[ff(a, al) * ff(b, be) * pow(x, max(a - al, 0), p)
-             * pow(y, max(b - be, 0), p) % p for a, b in D.canonical().monomials()]
+             * pow(y, max(b - be, 0), p) % p for a, b in D.monomials()]
             for (x, y), m in zip(points, mults)
             for al in range(m) for be in range(m - al)]
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from fatpoints import initial_cases
 from fatpoints.diagrams import reduce_chain
 from fatpoints.fplinalg import PrimeFieldConfig
 from fatpoints.initial_cases import (
@@ -15,6 +16,57 @@ from fatpoints.initial_cases import (
     tails,
     throwout_tail,
 )
+
+# (m, a, k, count_family, count_surviving) for every RESULTS_TABLE row
+TABLE_COUNTS = [
+    (7, 18, 0, 190051, 67709),
+    (7, 17, 1, 100947, 13114),
+    (7, 16, 2, 74613, 9467),
+    (7, 15, 3, 54264, 6768),
+    (7, 14, 4, 38760, 4792),
+    (7, 13, 5, 27132, 3361),
+    (7, 12, 11, 18564, 2335),
+    (7, 11, 13, 12376, 1612),
+    (7, 10, 24, 8008, 1090),
+    (8, 21, 0, 1683218, 450394),
+    (8, 20, 1, 888030, 63999),
+    (8, 19, 2, 657800, 49656),
+    (8, 18, 3, 480700, 35313),
+    (8, 17, 5, 346104, 24898),
+    (8, 16, 5, 245157, 17407),
+    (8, 15, 6, 170544, 12070),
+    (8, 14, 7, 116280, 8304),
+    (8, 13, 13, 77520, 5666),
+    (8, 12, 19, 50388, 3853),
+    (8, 11, 41, 31824, 2562),
+    (9, 24, 0, 15033173, 2896798),
+    (9, 23, 1, 7888725, 315393),
+    (9, 22, 2, 5852925, 239295),
+    (9, 21, 3, 4292145, 184416),
+    (9, 20, 4, 3108105, 129537),
+    (9, 19, 5, 2220075, 90296),
+    (9, 18, 6, 1562275, 62474),
+    (9, 17, 7, 1081575, 42913),
+    (9, 16, 8, 735471, 29272),
+    (9, 15, 14, 490314, 19840),
+    (9, 14, 17, 319770, 13349),
+    (9, 13, 29, 203490, 8974),
+    (9, 12, 62, 125970, 5890),
+    (10, 26, 0, 102875128, 14911515),
+    (10, 25, 1, 52451256, 1169260),
+    (10, 24, 2, 38567100, 880215),
+    (10, 23, 3, 28048800, 674580),
+    (10, 22, 4, 20160075, 468945),
+    (10, 21, 5, 14307150, 323770),
+    (10, 20, 6, 10015005, 222055),
+    (10, 19, 7, 6906900, 151320),
+    (10, 18, 13, 4686825, 102487),
+    (10, 17, 15, 3124550, 69006),
+    (10, 16, 17, 2042975, 46225),
+    (10, 15, 26, 1307504, 30760),
+    (10, 14, 41, 817190, 20495),
+    (10, 13, 79, 497420, 13314),
+]
 
 
 class TestFamilySpec:
@@ -53,12 +105,18 @@ class TestEnumeration:
     def test_layers_are_valid_diagrams(self):
         spec = FamilySpec(4, 8, 0)
         for D in (tail_diagram(spec, t) for t in tails(spec)):
-            assert D.canonical() is not None
+            assert D.layers[-1] > 0
 
     def test_known_counts(self):
         spec = FamilySpec(6, 16, 0)
         assert count_family(spec) == 27896
         assert count_surviving(spec) == 12799
+
+    def test_table_counts_pinned(self):
+        got = [(m, a, k, count_family(FamilySpec(m, a, k)),
+                count_surviving(FamilySpec(m, a, k)))
+               for m, a, k, _ in RESULTS_TABLE]
+        assert got == TABLE_COUNTS
 
 
 class TestThrowout:
@@ -117,6 +175,23 @@ class TestRun:
                               cfg=PrimeFieldConfig())
         assert a.result == b.result == "NOT_OK"
         assert a.counterexample == b.counterexample
+
+    def test_checked_counts_certificates_run(self, monkeypatch):
+        # a group whose first certificate fails never runs its second
+        calls = []
+        real = initial_cases.certify_nonspecial_rank
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(initial_cases, "certify_nonspecial_rank", counting)
+        report = run_initial_cases(FamilySpec(5, 10, 1), s=2, jobs=1,
+                                   cfg=PrimeFieldConfig())
+        assert report.result == "NOT_OK"
+        assert report.checked == len(calls)
+        groups = sum(lv.distinct_reduced for lv in report.levels)
+        assert report.checked < 2 * groups
 
     def test_jobs_byte_identical(self):
         a = run_initial_cases(FamilySpec(5, 10, 1), s=2, jobs=1,

@@ -13,7 +13,6 @@ from fatpoints.systems import (
     LinearSystem,
     Verdict,
     classify_by_axioms,
-    classify_by_simple_points,
     cremona,
     edim,
     format_system,
@@ -134,9 +133,13 @@ class TestAxioms:
             classify_by_axioms(L(4, 2, 2, 2, 2, 2))
 
     def test_simple_points(self):
-        v = classify_by_simple_points(L(20, 5, 5, 5, *[1] * 10))
+        v = classify_by_axioms(L(22, 12, 5, 5, *[1] * 10))
         assert v.kind == NON_SPECIAL and "SIMPLE_POINTS" in v.axioms_used
-        assert classify_by_simple_points(L(50, *[2] * 10)) is None
+        assert classify_by_axioms(L(50, 12, *[2] * 10)) is None
+        # the bound is at most 9 multiplicities >= 2
+        v = classify_by_axioms(L(40, 12, *[2] * 8, 1))
+        assert v.axioms_used == ("SIMPLE_POINTS", "POINTS_LE_9")
+        assert classify_by_axioms(L(40, 12, *[2] * 9)) is None
 
 
 class TestGlue:
