@@ -1,21 +1,31 @@
 """Exact rank over a word-sized prime field F_p, p < 2^31, by blocked
 elimination with float64 BLAS products.
 
-The kernel walks the columns in panels of PANEL columns. Inside a panel it
-works column by column (left-looking): a column is brought up to date
-with one product against the pivot rows found so far, its first nonzero
-entry is the pivot, and the pivot row's remaining part (U) is built the
-same way at the moment the pivot is chosen. The multipliers (L) fill a
-small float64 array. After the panel, the trailing Schur complement gets
-the whole panel at once, ``S -= L·U (mod p)``, as GEMMs over row chunks of
-CHUNK rows, so temporaries stay O(CHUNK × columns).
+The rows are first put in order of their first nonzero column. The rank
+does not depend on the row order, and on interpolation matrices this
+order puts a usable pivot at the top of most columns, so few pivots need
+a row swap.
 
-Exactness. Every residue lies in [0, p) with p < 2^31. U is split into
-16-bit halves, ``U = hi·2^16 + lo``, and each half is multiplied in
-float64. A sum of at most PANEL ≤ 64 products is below
-``64·(2^31−2)·(2^16−1) < 2^53``, and so is every partial sum, so each
-product is an exact integer whatever the BLAS summation order or thread
-count. The halves are reduced and recombined in int64.
+The kernel then walks the columns in panels of PANEL columns. Inside a
+panel it works column by column (left-looking): a column is brought up to
+date with one product against the pivot rows found so far, its first
+nonzero entry is the pivot, and the pivot row's remaining part is brought
+up to date the same way at the moment the pivot is chosen. After the
+panel, the trailing Schur complement gets the whole panel at once, as
+GEMMs over row chunks of CHUNK rows, so temporaries stay O(CHUNK ×
+columns).
+
+Exactness. Every residue lies in [0, p) with p < 2^31. Eliminating row i
+with pivot row u and pivot c subtracts l·u, l = a_i/c, from row i. The
+kernel stores a_i split into 16-bit halves, ``a_i = hi·2^16 + lo``, and
+the pivot row as the two residue rows ``−2^16·u/c mod p`` and
+``−u/c mod p``, so ``hi·(−2^16·u/c) + lo·(−u/c) ≡ −l·u (mod p)``. Each
+update is then one float64 product over the 2k ≤ 2·PANEL interleaved
+half columns of the k pivots so far, and a sum of at most 2·PANEL = 64
+terms, each below 2^16·2^31, plus one residue stays below
+``64·(2^31−2)·(2^16−1) + 2^31 < 2^53``. So every partial sum is an exact
+integer whatever the BLAS summation order or thread count; it is added
+to the residue in int64 and reduced there.
 
 The rank does not depend on which pivots are chosen, so the result is
 the same as that of the scalar reference ``_rank_mod_p_scalar``, which
@@ -36,62 +46,78 @@ import numpy as np
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 P_LIMIT = 2**31
-PANEL = 64  # measured: 64 beats 32 on 400-700 column matrices, ties below 200
+# the widest panel the bound below allows; measured against narrower ones
+# on the ledger's 435-741 column matrices, 24 is 7 % and 16 is 30 %
+# slower, and on the family's 100-199 column matrices 24 ties and 16 is
+# 2 % slower
+PANEL = 32
 CHUNK = 128
 _HALF = 1 << 16
-assert PANEL <= 64  # keeps PANEL·(P_LIMIT−2)·(_HALF−1) below 2^53
+# 2·PANEL products (p−1)·(2^16−1) plus one residue stay below 2^53
+assert 2 * PANEL * (P_LIMIT - 2) * (_HALF - 1) + P_LIMIT - 2 < 2**53
 
 
-def _sub_product(X: np.ndarray, L: np.ndarray, U_hi: np.ndarray,
-                 U_lo: np.ndarray, p: int) -> None:
-    """X ← (X − L·U) mod p in place, with U = U_hi·2^16 + U_lo; exact (see
-    module doc)."""
-    Y = (L @ U_hi).astype(np.int64)
-    Y %= p
-    Y *= _HALF
-    Y += (L @ U_lo).astype(np.int64)
-    X -= Y
-    X %= p
+def _add_product(X: np.ndarray, L: np.ndarray, U: np.ndarray) -> None:
+    """X ← X + L·U in place, for int64 X and float64 factors whose product
+    is exact (see module doc); the caller reduces X mod p."""
+    X += (L @ U).astype(np.int64)
 
 
 def rank_mod_p_inplace(A: np.ndarray, p: int) -> int:
     """Rank of the int64 matrix A over F_p, p < 2^31; A is overwritten."""
     m, n = A.shape
     A %= p
+    A = A[np.argsort((A != 0).argmax(axis=1), kind="stable")]
     r = 0
+    scale = np.empty(2, dtype=np.int64)
     for c0 in range(0, n, PANEL):
         if r == m:
             break
         w = min(PANEL, n - c0)
         S = A[r:, c0:]
-        L = np.zeros((m - r, w))
-        U_hi = np.empty((w, n - c0))
-        U_lo = np.empty((w, n - c0))
+        # H[2i], H[2i+1]: the 16-bit halves of the entries that pivot i
+        # eliminates; U[2i], U[2i+1]: pivot row i times -2^16/c_i, -1/c_i
+        H = np.zeros((2 * w, m - r))
+        U = np.empty((2 * w, n - c0))
         k = 0  # pivots found in this panel; they are rows 0..k-1 of S
         for j in range(w):
+            if r + k == m:
+                break
             col = S[k:, j]
+            kk = 2 * k
             if k:
-                _sub_product(col, L[k:, :k], U_hi[:k, j], U_lo[:k, j], p)
-            nz = col.nonzero()[0]
-            if nz.size == 0:
-                continue
-            piv = int(nz[0])
-            if piv:  # L is zero from column k on in both rows
-                for M in (S, L):
-                    t = M[k].copy()
-                    M[k] = M[k + piv]
-                    M[k + piv] = t
+                _add_product(col, H[:kk, k:].T, U[:kk, j])
+                col %= p
+            if not col[0]:
+                nz = col.nonzero()[0]
+                if nz.size == 0:
+                    continue
+                i = k + int(nz[0])
+                t = S[k, j:].copy()
+                S[k, j:] = S[i, j:]
+                S[i, j:] = t
+                if k:
+                    t = H[:kk, k].copy()
+                    H[:kk, k] = H[:kk, i]
+                    H[:kk, i] = t
+            row = S[k, j:]
             if k:
-                _sub_product(S[k, j + 1:], L[k, :k], U_hi[:k, j + 1:], U_lo[:k, j + 1:], p)
-            U_hi[k, j:] = S[k, j:] >> 16
-            U_lo[k, j:] = S[k, j:] & (_HALF - 1)
-            L[k + 1:, k] = col[1:] * pow(int(col[0]), -1, p) % p
+                rest = row[1:]
+                _add_product(rest, H[:kk, k], U[:kk, j + 1:])
+                rest %= p
+            inv = pow(int(row[0]), -1, p)
+            scale[0] = (-inv << 16) % p
+            scale[1] = -inv % p
+            U[kk:kk + 2, j:] = np.multiply.outer(scale, row) % p
+            np.divmod(col[1:], _HALF, out=(H[kk, k + 1:], H[kk + 1, k + 1:]))
             k += 1
         if k and w < n - c0 and r + k < m:
             T = S[k:, w:]
+            kk = 2 * k
             for i in range(0, len(T), CHUNK):
-                _sub_product(T[i:i + CHUNK], L[k + i:k + i + CHUNK, :k],
-                             U_hi[:k, w:], U_lo[:k, w:], p)
+                X = T[i:i + CHUNK]
+                _add_product(X, H[:kk, k + i:k + i + CHUNK].T, U[:kk, w:])
+                X -= X // p * p  # cheaper than %= on a block
         r += k
     return r
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 import dataclasses
 import json as jsonlib
 import sys
+from math import comb
 
 import click
 
 from . import __version__
 from .cache import ResultCache, record_key
 from .diagrams import ReductionTrace, triangle
-from .engine import EngineConfig, classify
+from .engine import DEFAULT_CONFIG, EngineConfig, classify
 from .fplinalg import PrimeFieldConfig, build_matrix, sample_points, task_rng
 from .fplinalg import rank as matrix_rank
 from .initial_cases import FamilySpec, run_initial_cases
@@ -233,6 +234,14 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
     if any(m < 0 for m in mults) or (system and L.degree < 0):
         raise click.UsageError("rank needs d >= 0 and mults >= 0")
     mults = tuple(m for m in mults if m > 0)  # a zero imposes no condition
+    # the engine's column cap bounds both sides, checked before the
+    # diagram or the matrix is built
+    cols = comb(L.degree + 2, 2) if system else D.cells
+    rows = sum(comb(m + 1, 2) for m in mults)
+    cap = DEFAULT_CONFIG.max_cols
+    if max(rows, cols) > cap:
+        raise click.UsageError(f"rank matrix would be {rows}x{cols}; "
+                               f"rows and columns are capped at {cap}")
     if system:
         D, label = triangle(L.degree + 1), str(L.canonical())
     else:
@@ -242,7 +251,6 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
     points = sample_points(len(mults), prime, rng)
     A = build_matrix(D, mults, points, prime)
     rk = matrix_rank(A, prime)
-    rows, cols = A.shape
     full = rk == min(rows, cols)
     dim = cols - rk
     payload = {

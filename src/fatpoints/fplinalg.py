@@ -8,9 +8,12 @@ full rank over the rationals at general points, so a full-rank outcome
 certifies non-specialty; a deficient rank never certifies anything.
 
 The prime is bounded, 10^6 < p < 2^31.  Below 2^31 every product of two
-residues fits in int64, and the rank kernel (``_gauss``) splits one
-factor of its float64 matrix products into 16-bit halves, so a panel of
-at most 64 columns keeps every sum below 2^53 and the rank is exact.
+residues fits in int64, so ``build_matrix`` multiplies one entry of a
+per-point x table by one of a y table and reduces once.  The rank kernel
+(``_gauss``) splits the entries it eliminates into 16-bit halves and
+keeps each pivot row as two residue rows, so a float64 product over a
+panel of 32 pivots (64 half columns) keeps every sum below 2^53 and the
+rank is exact.
 
 Unlucky points.  A maximal minor of the matrix is a polynomial in the
 point coordinates of degree at most N·e (N its size, e the largest
@@ -141,31 +144,34 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
     rows = sum(comb(m + 1, 2) for m in mults)
     if n == 0 or rows == 0:
         return np.zeros((rows, n), dtype=np.int64)
-    exps = np.array(mons, dtype=np.int64)
-    ea, eb = exps[:, 0], exps[:, 1]
-    # derivative orders reach max(mults) - 1 even on low-degree diagrams
-    maxd = max(int(exps.max()), max(mults) - 1)
-    # FF[a, alpha] = a (a-1) ... (a-alpha+1) mod p, which is 0 for alpha > a;
-    # XP[j, i] = x_j^i and YP[j, i] = y_j^i mod p
-    top = np.arange(maxd + 1, dtype=np.int64)
-    FF = np.ones((maxd + 1, maxd + 1), dtype=np.int64)
-    coords = np.array(points, dtype=np.int64).reshape(-1, 2) % p
-    XP = np.ones((len(points), maxd + 1), dtype=np.int64)
-    YP = np.ones((len(points), maxd + 1), dtype=np.int64)
-    for i in range(1, maxd + 1):
-        FF[:, i] = FF[:, i - 1] * np.maximum(top - i + 1, 0) % p
-        XP[:, i] = XP[:, i - 1] * coords[:, 0] % p
-        YP[:, i] = YP[:, i - 1] * coords[:, 1] % p
+    ea, eb = np.array(mons, dtype=np.int64).T
+    mmax = max(mults)
+    # exponents reach nlayers - 1 and derivative orders mmax - 1, even on
+    # low-degree diagrams
+    w = max(D.nlayers, mmax)
+    top = np.arange(w, dtype=np.int64)
+    # FF[alpha, a] = a (a-1) ... (a-alpha+1) mod p, which is 0 for alpha > a
+    FF = np.ones((mmax, w), dtype=np.int64)
+    for i in range(1, mmax):
+        FF[i] = FF[i - 1] * np.maximum(top - i + 1, 0) % p
+    # PW[0, j, i] = x_j^i and PW[1, j, i] = y_j^i mod p
+    PW = np.ones((2, len(points), w), dtype=np.int64)
+    xy = np.array(points, dtype=np.int64).reshape(-1, 2).T % p
+    for i in range(1, w):
+        PW[:, :, i] = PW[:, :, i - 1] * xy % p
+    # per-point tables XY[0][j·mmax + alpha, a] = FF[alpha, a] x_j^(a-alpha)
+    # and XY[1][j·mmax + beta, b] = FF[beta, b] y_j^(b-beta); where
+    # alpha > a the FF factor is 0, so the clipped power index is harmless
+    shift = np.maximum(top - top[:mmax, None], 0)
+    XY = (FF * PW[:, :, shift] % p).reshape(2, -1, w)
     # one row per (point j, alpha, beta) with alpha + beta < m_j, in order
     orders = {m: np.nonzero(np.add.outer(top[:m], top[:m]) < m) for m in set(mults)}
-    pt = np.repeat(np.arange(len(mults)), [comb(m + 1, 2) for m in mults])[:, None]
-    al = np.concatenate([orders[m][0] for m in mults])[:, None]
-    be = np.concatenate([orders[m][1] for m in mults])[:, None]
-    # where alpha > a or beta > b the FF factor is 0, so the clipped power
-    # index there is harmless
-    A = FF[ea, al] * FF[eb, be] % p
-    A = A * XP[pt, np.maximum(ea - al, 0)] % p
-    return A * YP[pt, np.maximum(eb - be, 0)] % p
+    pt = np.repeat(np.arange(len(mults)) * mmax, [comb(m + 1, 2) for m in mults])
+    al = np.concatenate([orders[m][0] for m in mults])
+    be = np.concatenate([orders[m][1] for m in mults])
+    A = XY[0, pt + al][:, ea] * XY[1, pt + be][:, eb]
+    A -= A // p * p  # cheaper than % on a block
+    return A
 
 
 def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:

@@ -30,3 +30,20 @@ def test_instrument_binds_every_target():
     assert rec.calls["engine.classify"] == 1
     assert rec.calls["textio.parse_system"] == 1
     assert fatpoints.classify is original  # bindings restored on exit
+
+
+def test_family_call_structure_pinned():
+    # One build_matrix and one rank call per certification attempt, and
+    # the matrix shapes fixed through ops_computed (rows·cols·min). The
+    # values were recorded before the rank kernel and build_matrix were
+    # last rewritten; a change that fuses, skips or reshapes matrices
+    # moves them.
+    spans = _load_spans()
+    rec = spans.Recorder()
+    with spans.instrument(rec):
+        fatpoints.run_initial_cases(fatpoints.FamilySpec(5, 10, 1))
+    rank_calls = rec.calls["fplinalg.rank"]
+    assert rank_calls == rec.calls["fplinalg.build_matrix"]
+    assert rank_calls == rec.counts["fplinalg.certify.attempts"]
+    assert rank_calls == 624
+    assert rec.counts["fplinalg.rank.ops_computed"] == 135_637_095

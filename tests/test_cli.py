@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -72,6 +73,34 @@ class TestUsageErrors:
         r = run(*args)
         assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
         assert message in r.output
+
+    @pytest.mark.parametrize("args, shape", [
+        (["rank", "L(100000;1)"], "1x5000150001"),
+        (["rank", "--diagram", "(~3)", "--mults", "100000"], "5000050000x6"),
+        (["rank", "L(62;)"], "0x2016"),
+        (["rank", "--diagram", "(1)", "--mults", "63"], "2016x1"),
+    ])
+    def test_rank_matrix_capped_before_allocating(self, args, shape):
+        tracemalloc.start()
+        try:
+            r = run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
+        assert f"rank matrix would be {shape}" in r.output
+        assert "capped at 2000" in r.output
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("args, shape", [
+        (["rank", "L(61;)"], (0, 1953)),
+        (["rank", "--diagram", "(1)", "--mults", "62"], (1953, 1)),
+    ])
+    def test_rank_matrix_at_the_cap(self, args, shape):
+        r = run("--json", *args)
+        assert r.exit_code == 0, r.output
+        out = json.loads(r.output)
+        assert (out["rows"], out["cols"]) == shape
 
     @pytest.mark.parametrize("prime", ["2305843009213693951", "1000000", "1048577"])
     def test_bad_prime(self, prime):

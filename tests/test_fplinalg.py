@@ -6,11 +6,11 @@ import pytest
 from fatpoints._gauss import (
     PANEL,
     P_LIMIT,
+    _add_product,
     _rank_mod_p_scalar,
-    _sub_product,
     rank_mod_p_inplace,
 )
-from fatpoints.diagrams import diagram, triangle
+from fatpoints.diagrams import Diagram, diagram, p_of, reduce_chain, triangle
 from fatpoints.fplinalg import (
     DegeneratePointsError,
     _is_prime,
@@ -21,6 +21,7 @@ from fatpoints.fplinalg import (
     sample_points,
     task_rng,
 )
+from fatpoints.initial_cases import FamilySpec, tail_diagram, tails, throwout_tail
 from fatpoints.systems import INCONCLUSIVE, NON_SPECIAL
 
 
@@ -188,6 +189,22 @@ P = 2**31 - 1
 W = PANEL
 
 
+def _edge_shapes(w):
+    """Shapes at the edges of panels of w columns."""
+    return [
+        (w - 1, w - 1), (w, w), (w + 1, w + 1), (2 * w + 1, 2 * w + 1),
+        (w - 7, 2 * w + 1), (w // 2, w + 1),  # m < w
+        (1, 2 * w + 1), (2 * w + 1, 1), (1, 1),
+        (2 * w + 3, w + 1), (3 * w, w - 1),  # tall
+        (w + 2, 2 * w + 5),  # wide
+    ]
+
+
+# the kernel's panel edges and those of panels twice as wide, which are
+# panel edges too (shapes that occur twice are run once)
+EDGE_SHAPES = list(dict.fromkeys(_edge_shapes(W) + _edge_shapes(2 * W)))
+
+
 def _random_deficient(m, n, seed):
     """Random m x n residues with a zero row and a row combining two others."""
     rng = np.random.default_rng(seed)
@@ -202,13 +219,7 @@ class TestBlockedKernel:
     """The blocked kernel against the reference at panel edges and at the
     exactness bound."""
 
-    @pytest.mark.parametrize("m, n", [
-        (W - 1, W - 1), (W, W), (W + 1, W + 1), (2 * W + 1, 2 * W + 1),
-        (W - 7, 2 * W + 1), (W // 2, W + 1),  # m < w
-        (1, 2 * W + 1), (2 * W + 1, 1), (1, 1),
-        (2 * W + 3, W + 1), (3 * W, W - 1),  # tall
-        (W + 2, 2 * W + 5),  # wide
-    ])
+    @pytest.mark.parametrize("m, n", EDGE_SHAPES)
     def test_shapes(self, m, n):
         A = _random_deficient(m, n, seed=m * 1000 + n)
         assert rank_mod_p_inplace(A.copy(), P) == _rank_mod_p_scalar(A.copy(), P)
@@ -234,17 +245,19 @@ class TestBlockedKernel:
         assert rank_mod_p_inplace(A.copy(), P) == want
 
     def test_split_product_at_the_exactness_edge(self):
-        # PANEL terms, each the largest L entry times the largest 16-bit
-        # halves: the sums reach within 2^38 of 2^53 and must stay exact.
-        assert PANEL <= 64 and PANEL * (P_LIMIT - 2) * (2**16 - 1) < 2**53
-        big = [P - 1, 2**31 - 2**16 - 1]  # halves (32767, 65534), (32766, 65535)
-        U = np.array([[big[(i + j) % 2] for j in range(9)] for i in range(PANEL)],
-                     dtype=np.int64)
-        L = np.full((3, PANEL), float(P - 1))
-        X = np.array([[0] * 9, [P - 1] * 9, [1] * 9], dtype=np.int64)
-        want = [[(int(X[i, j]) - sum((P - 1) * int(U[k, j]) for k in range(PANEL))) % P
-                 for j in range(9)] for i in range(3)]
-        _sub_product(X, L, (U >> 16).astype(float), (U & 0xFFFF).astype(float), P)
+        # Every term at its maximum: 2·PANEL half columns of 2^16 - 1
+        # against scaled pivot rows of p - 1, added to entries of p - 1.
+        # The sums reach within 2^38 of 2^53 and must stay exact.
+        K = 2 * PANEL
+        assert K * (P_LIMIT - 2) * (2**16 - 1) + P_LIMIT - 2 < 2**53
+        H = np.full((3, K), float(2**16 - 1))
+        U = np.full((K, 9), float(P - 1))
+        U[:, 4] = P - 2  # one column a unit lower, to catch an off-by-one
+        X = np.full((3, 9), P - 1, dtype=np.int64)
+        want = [[(P - 1) + K * (2**16 - 1) * int(U[0, j]) for j in range(9)]
+                for _ in range(3)]
+        assert max(map(max, want)) > 2**53 - 2**38
+        _add_product(X, H, U)
         assert X.tolist() == want
 
     def test_all_entries_p_minus_1_with_full_panels(self):
@@ -271,6 +284,58 @@ class TestBlockedKernel:
         A[r:, r:] = (B2 @ C2) % P
         A = A[rng.permutation(rows)][:, rng.permutation(cols)].astype(np.int64)
         assert rank(A, P) == r
+
+
+@pytest.fixture(scope="module")
+def family_matrices():
+    """Interpolation matrices of three reduced diagrams of the staircase
+    family (5,10,1): for each, the one at p(R) points, no taller than
+    wide, and the tall one at p(R) + 1, as the family's certification
+    builds them."""
+    spec = FamilySpec(5, 10, 1)
+    finals = sorted({t.final.layers for t in (
+        reduce_chain(tail_diagram(spec, tail), (5, 5))
+        for tail in tails(spec) if throwout_tail(spec, tail)) if t.consumed_all})
+    cfg = PrimeFieldConfig()
+    out = []
+    for layers in (finals[0], finals[len(finals) // 2], finals[-1]):
+        R = Diagram(layers)
+        for count in (p_of(R, 5), p_of(R, 5) + 1):
+            rng = task_rng(cfg, f"{R}|5x{count}")
+            out.append(build_matrix(R, [5] * count, sample_points(count, P, rng), P))
+    return out
+
+
+class TestFamilyTraffic:
+    """The kernel on the matrices the family certification feeds it: rows
+    of derivative orders put structural zeros under many pivots, so rows
+    move, which random dense matrices almost never make them do."""
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_matches_reference(self, family_matrices, i):
+        A = family_matrices[i]
+        rows, cols = A.shape
+        assert (rows <= cols) == (i % 2 == 0)  # wide at p(R), tall at p(R)+1
+        want = _rank_mod_p_scalar(A.copy(), P)
+        assert want == min(rows, cols)  # the family certifies these
+        assert rank_mod_p_inplace(A.copy(), P) == want
+
+    def test_appended_row_combination(self, family_matrices):
+        A = family_matrices[2]
+        extra = (5 * A[3] + (P - 2) * A[-1] + A[len(A) // 2]) % P
+        B = np.vstack([A, extra])
+        assert B.shape[0] < B.shape[1]  # still wide, so the rank is deficient
+        want = _rank_mod_p_scalar(B.copy(), P)
+        assert want == len(A)
+        assert rank_mod_p_inplace(B.copy(), P) == want
+        # the combination as the first row, ahead of the rows it combines
+        assert rank_mod_p_inplace(np.vstack([extra, A]), P) == want
+
+    def test_rank_leaves_its_argument_unmodified(self, family_matrices):
+        A = family_matrices[1] + P  # entries outside [0, p) as well
+        before = A.copy()
+        assert rank(A, P) == min(A.shape)
+        assert np.array_equal(A, before)
 
 
 class TestCertificate:
