@@ -1,10 +1,10 @@
 """Exact rank over a word-sized prime field F_p, p < 2^31, by blocked
 elimination with float64 BLAS products.
 
-The rows are first put in order of their first nonzero column. The rank
-does not depend on the row order, and on interpolation matrices this
-order puts a usable pivot at the top of most columns, so few pivots need
-a row swap.
+The kernel works on a reduced copy of its argument, with the rows in
+order of their first nonzero column. The rank does not depend on the row
+order, and on interpolation matrices this order puts a usable pivot at
+the top of most columns, so few pivots need a row swap.
 
 The kernel then walks the columns in panels of PANEL columns. Inside a
 panel it works column by column (left-looking): a column is brought up to
@@ -57,17 +57,15 @@ _HALF = 1 << 16
 assert 2 * PANEL * (P_LIMIT - 2) * (_HALF - 1) + P_LIMIT - 2 < 2**53
 
 
-def _add_product(X: np.ndarray, L: np.ndarray, U: np.ndarray) -> None:
-    """X ← X + L·U in place, for int64 X and float64 factors whose product
-    is exact (see module doc); the caller reduces X mod p."""
-    X += (L @ U).astype(np.int64)
-
-
-def rank_mod_p_inplace(A: np.ndarray, p: int) -> int:
-    """Rank of the int64 matrix A over F_p, p < 2^31; A is overwritten."""
+def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank of the int64 matrix A over F_p, p < 2^31; A is left as it is."""
     m, n = A.shape
-    A %= p
+    if m == 0 or n == 0:
+        return 0
+    # the key reads the entries as given: one that is a nonzero multiple
+    # of p can only make the order worse, never the rank wrong
     A = A[np.argsort((A != 0).argmax(axis=1), kind="stable")]
+    A %= p
     r = 0
     scale = np.empty(2, dtype=np.int64)
     for c0 in range(0, n, PANEL):
@@ -86,7 +84,7 @@ def rank_mod_p_inplace(A: np.ndarray, p: int) -> int:
             col = S[k:, j]
             kk = 2 * k
             if k:
-                _add_product(col, H[:kk, k:].T, U[:kk, j])
+                col += (H[:kk, k:].T @ U[:kk, j]).astype(np.int64)
                 col %= p
             if not col[0]:
                 nz = col.nonzero()[0]
@@ -103,7 +101,7 @@ def rank_mod_p_inplace(A: np.ndarray, p: int) -> int:
             row = S[k, j:]
             if k:
                 rest = row[1:]
-                _add_product(rest, H[:kk, k], U[:kk, j + 1:])
+                rest += (H[:kk, k] @ U[:kk, j + 1:]).astype(np.int64)
                 rest %= p
             inv = pow(int(row[0]), -1, p)
             scale[0] = (-inv << 16) % p
@@ -116,7 +114,8 @@ def rank_mod_p_inplace(A: np.ndarray, p: int) -> int:
             kk = 2 * k
             for i in range(0, len(T), CHUNK):
                 X = T[i:i + CHUNK]
-                _add_product(X, H[:kk, k + i:k + i + CHUNK].T, U[:kk, w:])
+                L = H[:kk, k + i:k + i + CHUNK].T
+                X += (L @ U[:kk, w:]).astype(np.int64)
                 X -= X // p * p  # cheaper than %= on a block
         r += k
     return r
@@ -125,7 +124,7 @@ def rank_mod_p_inplace(A: np.ndarray, p: int) -> int:
 def _rank_mod_p_scalar(A: np.ndarray, p: int) -> int:
     """Reference kernel: plain row elimination, one entry at a time.
 
-    Only the tests run it, as the oracle for ``rank_mod_p_inplace``.
+    Only the tests run it, as the oracle for ``rank_mod_p``.
     """
     m, n = A.shape
     r = 0

@@ -31,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from ._gauss import P_LIMIT, rank_mod_p_inplace
+from ._gauss import P_LIMIT, rank_mod_p
 from .diagrams import Diagram
 from .systems import INCONCLUSIVE, NON_SPECIAL, Step, Verdict
 
@@ -177,7 +177,7 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
 def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     """Exact rank of an integer matrix over F_p, p < 2^31."""
     _check_modulus(p)
-    return int(rank_mod_p_inplace(np.array(A, dtype=np.int64, copy=True), p))
+    return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
 
 
 def certify_nonspecial_rank(

@@ -56,6 +56,18 @@ class TestClassify:
         ops = [s.op for s in v.certificate]
         assert "enlarge" in ops
 
+    def test_empty_by_rank_of_an_emptied_diagram(self):
+        # the reduction empties triangle(2) and leaves two simple points;
+        # 2 is no triangular number, so the rank stage gets a matrix with
+        # two rows and no columns
+        cfg = EngineConfig(stages=("reduction", "rank"))
+        v = classify(parse_system("L(1;2,1,1)"), cfg)
+        assert v.kind == EMPTY
+        step = v.certificate[-1]
+        assert step.op == "rank"
+        assert (step.params["rows"], step.params["cols"]) == (2, 0)
+        assert step.params["rank"] == 0
+
     def test_negative_degree(self):
         v = classify(LinearSystem(-2, (3,)))
         assert v.kind == EMPTY
