@@ -42,10 +42,11 @@ import importlib.util
 
 import numpy as np
 
+from .fplinalg import P_LIMIT
+
 # Reported in the benchmark's environment record; no code path depends on it.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-P_LIMIT = 2**31
 # the widest panel the bound below allows; measured against narrower ones
 # on the ledger's 435-741 column matrices, 24 is 7 % and 16 is 30 %
 # slower, and on the family's 100-199 column matrices 24 ties and 16 is

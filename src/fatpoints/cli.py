@@ -223,6 +223,8 @@ def reduce_cmd(ctx: click.Context, diagram_text: str, mults_text: str,
 def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
              mults_text: str | None, prime: int, seed: int) -> None:
     """Interpolation-matrix rank for SYSTEM or for --diagram/--mults."""
+    if system is not None and (diagram_text is not None or mults_text is not None):
+        raise click.UsageError("give SYSTEM or --diagram/--mults, not both")
     if system:
         L = _parse(parse_system, system)
         mults = L.mults
@@ -266,8 +268,9 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
 @click.option("--m", "m_", type=int, required=True)
 @click.option("--a", "a_", type=int, required=True)
 @click.option("--k", "k_", type=int, required=True)
-@click.option("--s", "s_", type=int, default=2, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--s", "s_", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes; at most the number of available CPUs run.")
 @click.option("--enumeration-only", is_flag=True,
               help="Only count and report sizes; no matrices.")
 @click.option("--prime", default=PrimeFieldConfig.p, show_default=True)

@@ -15,6 +15,12 @@ keeps each pivot row as two residue rows, so a float64 product over a
 panel of 32 pivots (64 half columns) keeps every sum below 2^53 and the
 rank is exact.
 
+numpy and the kernel are imported inside ``build_matrix``, ``rank`` and
+``task_rng``, so they load at the first matrix, not with the package.
+Standard form, the axioms, glueing and reduction need no matrix, and a
+process that only runs those never pays numpy's import, which is most of
+the package's start-up time.
+
 Unlucky points.  A maximal minor of the matrix is a polynomial in the
 point coordinates of degree at most N·e (N its size, e the largest
 monomial degree of D), so by the Schwartz–Zippel lemma points drawn at
@@ -28,14 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._gauss import P_LIMIT, rank_mod_p
 from .diagrams import Diagram
 from .systems import INCONCLUSIVE, NON_SPECIAL, Step, Verdict
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_PRIME = 2**31 - 1
+# every product of two residues below P_LIMIT fits in int64, and the rank
+# kernel's split float64 products stay exact (see ``_gauss``)
+P_LIMIT = 2**31
 
 
 class DegeneratePointsError(ValueError):
@@ -102,6 +112,8 @@ def task_rng(cfg: PrimeFieldConfig, key: str) -> np.random.Generator:
     # of resident memory that a process which never samples points is spared
     import hashlib
 
+    import numpy as np
+
     digest = hashlib.sha256(f"{cfg.seed}:{key}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
@@ -130,6 +142,8 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
     times x^(a-alpha) y^(b-beta), taken as zero when alpha > a or
     beta > b; all arithmetic is mod p.
     """
+    import numpy as np
+
     mults = list(mults)
     points = list(points)
     if len(points) != len(mults):
@@ -176,6 +190,10 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
 
 def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     """Exact rank of an integer matrix over F_p, p < 2^31."""
+    import numpy as np
+
+    from ._gauss import rank_mod_p
+
     _check_modulus(p)
     return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
 

@@ -19,8 +19,9 @@ s - 1.
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
@@ -214,6 +215,14 @@ def _certify_group(args: tuple) -> tuple[tuple[int, ...], bool, int]:
     return layers, True, 2
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def run_initial_cases(
     spec: FamilySpec,
     s: int = 2,
@@ -221,9 +230,18 @@ def run_initial_cases(
     cfg: PrimeFieldConfig | None = None,
     enumeration_only: bool = False,
 ) -> InitialCasesReport:
-    """Certify the whole family, or only enumerate and report sizes."""
+    """Certify the whole family, or only enumerate and report sizes.
+
+    Groups are certified in one pool of at most min(jobs, available CPUs)
+    worker processes, opened at the first level with more than one group
+    and kept for the rest of the run; the report does not depend on jobs.
+    """
+    if s < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg = cfg or PrimeFieldConfig()
-    t0 = time.time()
+    t0 = time.perf_counter()
     total = count_family(spec)
     surviving = count_surviving(spec)
     report = InitialCasesReport(
@@ -238,56 +256,62 @@ def run_initial_cases(
         seed=cfg.seed,
     )
     if enumeration_only:
-        report.wall_time = time.time() - t0
+        report.wall_time = time.perf_counter() - t0
         return report
 
     pending = [
         tail_diagram(spec, t) for t in tails(spec) if throwout_tail(spec, t)
     ]
     assert len(pending) == surviving
+    workers = min(jobs, _available_cpus())
+    pool = None
     level = s
-    while True:
-        groups: dict[tuple[int, ...], list[Diagram]] = {}
-        unreduced: list[Diagram] = []
-        for D in pending:
-            trace = reduce_chain(D, (spec.m,) * level)
-            if trace.consumed_all:
-                groups.setdefault(trace.final.layers, []).append(D)
-            else:
-                unreduced.append(D)
-        keys = sorted(groups)
-        tasks = [(k, spec.m, cfg) for k in keys]
-        if jobs > 1 and len(tasks) > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(jobs) as pool:
+    with ExitStack() as stack:
+        while True:
+            groups: dict[tuple[int, ...], list[Diagram]] = {}
+            unreduced: list[Diagram] = []
+            for D in pending:
+                trace = reduce_chain(D, (spec.m,) * level)
+                if trace.consumed_all:
+                    groups.setdefault(trace.final.layers, []).append(D)
+                else:
+                    unreduced.append(D)
+            keys = sorted(groups)
+            tasks = [(k, spec.m, cfg) for k in keys]
+            if workers > 1 and len(tasks) > 1:
+                if pool is None:
+                    import multiprocessing
+
+                    ctx = multiprocessing.get_context("fork")
+                    pool = stack.enter_context(ctx.Pool(workers))
                 results = pool.map(_certify_group, tasks)
-        else:
-            results = [_certify_group(t) for t in tasks]
-        ok_keys = {k for k, ok, _ in results if ok}
-        report.checked += sum(ran for _, _, ran in results)
-        next_pending = [D for k in keys if k not in ok_keys for D in groups[k]]
-        next_pending.extend(unreduced)
-        report.levels.append(
-            LevelStats(
-                level=level,
-                pending=len(pending),
-                distinct_reduced=len(keys),
-                unreduced=len(unreduced),
-                certified_groups=len(ok_keys),
-            )
-        )
-        if level == 0:
-            if next_pending:
-                report.result = "NOT_OK"
-                report.counterexample = str(
-                    min(next_pending, key=lambda d: d.layers)
+            else:
+                results = [_certify_group(t) for t in tasks]
+            ok_keys = {k for k, ok, _ in results if ok}
+            report.checked += sum(ran for _, _, ran in results)
+            next_pending = [D for k in keys if k not in ok_keys for D in groups[k]]
+            next_pending.extend(unreduced)
+            report.levels.append(
+                LevelStats(
+                    level=level,
+                    pending=len(pending),
+                    distinct_reduced=len(keys),
+                    unreduced=len(unreduced),
+                    certified_groups=len(ok_keys),
                 )
-            break
-        if not next_pending:
-            break
-        pending = next_pending
-        level -= 1
-    report.wall_time = time.time() - t0
+            )
+            if level == 0:
+                if next_pending:
+                    report.result = "NOT_OK"
+                    report.counterexample = str(
+                        min(next_pending, key=lambda d: d.layers)
+                    )
+                break
+            if not next_pending:
+                break
+            pending = next_pending
+            level -= 1
+    report.wall_time = time.perf_counter() - t0
     return report
 
 

@@ -68,6 +68,13 @@ class TestUsageErrors:
          "need m >= 1 and k >= 0"),
         (["initial-cases", "--m", "3", "--a", "4", "--k", "0", "--enumeration-only"],
          "family (3,4,0) violates a >= m (and a >= 2m when k = 0)"),
+        (["initial-cases", "--m", "7", "--a", "13", "--k", "5", "--enumeration-only",
+          "--jobs", "0"], "0 is not in the range x>=1"),
+        (["initial-cases", "--m", "7", "--a", "13", "--k", "5", "--enumeration-only",
+          "--s", "-1"], "-1 is not in the range x>=0"),
+        (["rank", "L(4;2^5)", "--mults", "2"], "give SYSTEM or --diagram/--mults, not both"),
+        (["rank", "L(4;2^5)", "--diagram", "(~3)", "--mults", "2"],
+         "give SYSTEM or --diagram/--mults, not both"),
     ])
     def test_bad_values(self, args, message):
         r = run(*args)

@@ -193,6 +193,52 @@ class TestRun:
         groups = sum(lv.distinct_reduced for lv in report.levels)
         assert report.checked < 2 * groups
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"s": -1}, "s must be >= 0"),
+        ({"jobs": 0}, "jobs must be >= 1"),
+        ({"jobs": -3}, "jobs must be >= 1"),
+    ])
+    def test_rejects_bad_s_and_jobs(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_initial_cases(FamilySpec(5, 10, 1), enumeration_only=True, **kwargs)
+
+    @pytest.mark.parametrize("jobs, cpus, pools", [
+        (100000, 2, [2]),
+        (3, 8, [3]),
+        (2, 1, []),
+        (1, 8, []),
+    ])
+    def test_one_pool_of_at_most_the_available_cpus(self, monkeypatch, jobs, cpus, pools):
+        # the pool is faked, so no process is started; three levels certify
+        # more than one group each, and they all share the one pool
+        import multiprocessing
+
+        opened = []
+
+        class FakePool:
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(initial_cases, "_available_cpus", lambda: cpus)
+        report = run_initial_cases(FamilySpec(5, 10, 1), s=2, jobs=jobs,
+                                   cfg=PrimeFieldConfig())
+        assert opened == pools
+        assert [lv.distinct_reduced for lv in report.levels] == [168, 49, 40]
+        assert report.counterexample == "(~10,10,8)"
+
     def test_jobs_byte_identical(self):
         a = run_initial_cases(FamilySpec(5, 10, 1), s=2, jobs=1,
                               cfg=PrimeFieldConfig())
