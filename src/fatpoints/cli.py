@@ -12,8 +12,7 @@ from . import __version__
 from .cache import ResultCache, record_key
 from .diagrams import ReductionTrace, triangle
 from .engine import DEFAULT_CONFIG, EngineConfig, classify
-from .fplinalg import PrimeFieldConfig, build_matrix, sample_points, task_rng
-from .fplinalg import rank as matrix_rank
+from .fplinalg import PrimeFieldConfig, interpolation_rank, sample_points, task_rng
 from .initial_cases import FamilySpec, run_initial_cases
 from .ledger import run_ledger
 from .systems import INCONCLUSIVE, LinearSystem, Verdict, edim, standard_form, vdim
@@ -251,8 +250,7 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
     cfg = _field(p=prime, seed=seed)
     rng = task_rng(cfg, f"{D}|{','.join(str(m) for m in mults)}|cli")
     points = sample_points(len(mults), prime, rng)
-    A = build_matrix(D, mults, points, prime)
-    rk = matrix_rank(A, prime)
+    rk = interpolation_rank(D, mults, points, prime)
     full = rk == min(rows, cols)
     dim = cols - rk
     payload = {

@@ -53,6 +53,17 @@ class Diagram:
     def nlayers(self) -> int:
         return len(self.layers)
 
+    @property
+    def down_closed(self) -> bool:
+        """Whether dividing a monomial of D by x or by y stays in D.
+
+        Layer j holds x^(j-1-b) y^b for b < c_j.  Dividing by x or y lands
+        in layer j-1 at b or b-1, so D is down-closed exactly when c_1 = 1
+        and min(c_j, j-1) <= c_(j-1) for j >= 2; the empty diagram is not.
+        """
+        c = self.layers
+        return c[:1] == (1,) and all(min(c[i], i) <= c[i - 1] for i in range(1, len(c)))
+
     def monomials(self) -> list[tuple[int, int]]:
         """Cells as exponent pairs (a, b), layer by layer."""
         out = []

@@ -15,6 +15,24 @@ keeps each pivot row as two residue rows, so a float64 product over a
 panel of 32 pivots (64 half columns) keeps every sum below 2^53 and the
 rank is exact.
 
+The heaviest point at the origin.  A diagram D is down-closed when
+dividing any of its monomials by x or by y stays in D.  Then the span of
+D is mapped to itself by every translation (x, y) -> (x + u, y + v): a
+monomial x^a y^b goes to itself plus monomials x^a' y^b' with a' <= a,
+b' <= b and a' + b' < a + b, all in D, so the map is unitriangular and
+invertible over any field.  Translations commute with derivatives, so
+moving every point by -p0 changes the matrix only by that change of
+basis, and its rank over F_p is the same at the same sampled points.  At
+the origin, a point of multiplicity m asks exactly that the coefficients
+of the monomials of degree < m vanish (row (alpha, beta) is alpha! beta!
+times the unit vector of x^alpha y^beta, or zero when that monomial is
+not in D).  Those are the cells of D's first m layers, so its block
+holds one pivot per such cell, and the rank is their count plus the
+rank of the other points' rows on the remaining columns.
+``interpolation_rank`` takes p0 to be the first point of largest
+multiplicity, which leaves the smallest matrix, and keeps the plain
+matrix for any diagram that is not down-closed.
+
 numpy and the kernel are imported inside ``build_matrix``, ``rank`` and
 ``task_rng``, so they load at the first matrix, not with the package.
 Standard form, the axioms, glueing and reduction need no matrix, and a
@@ -134,6 +152,16 @@ def sample_points(n: int, p: int, rng: np.random.Generator) -> list[tuple[int, i
     return pts
 
 
+def _check_points(mults: list, points: list, p: int) -> None:
+    if len(points) != len(mults):
+        raise ValueError("need exactly one point per multiplicity")
+    if any(m < 1 for m in mults):
+        raise ValueError("build_matrix needs multiplicities >= 1")
+    if len(set(points)) != len(points):
+        raise DegeneratePointsError("repeated interpolation points")
+    _check_modulus(p)
+
+
 def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Dense interpolation matrix of V(D; mults) at the given points.
 
@@ -146,13 +174,7 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
 
     mults = list(mults)
     points = list(points)
-    if len(points) != len(mults):
-        raise ValueError("need exactly one point per multiplicity")
-    if any(m < 1 for m in mults):
-        raise ValueError("build_matrix needs multiplicities >= 1")
-    if len(set(points)) != len(points):
-        raise DegeneratePointsError("repeated interpolation points")
-    _check_modulus(p)
+    _check_points(mults, points, p)
     mons = D.monomials()
     n = len(mons)
     rows = sum(comb(m + 1, 2) for m in mults)
@@ -198,6 +220,29 @@ def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
 
 
+def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int:
+    """Rank over F_p of the interpolation matrix of V(D; mults) at points.
+
+    On a down-closed D the first point of largest multiplicity m is moved
+    to the origin (see the module docstring): its rows fix the cells of
+    the first m layers, so the rank is their count plus the rank of the
+    other points, moved by the same translation, on the cells of degree
+    >= m.  Any other D, or no point at all, gets the plain matrix.  Either
+    way one ``build_matrix`` and one ``rank`` call are made.
+    """
+    mults = list(mults)
+    points = list(points)
+    _check_points(mults, points, p)
+    if not points or not D.down_closed:
+        return rank(build_matrix(D, mults, points, p), p)
+    i = mults.index(max(mults))
+    m = mults.pop(i)
+    x0, y0 = points.pop(i)
+    points = [((x - x0) % p, (y - y0) % p) for x, y in points]
+    rest = Diagram(tuple(c if j >= m else 0 for j, c in enumerate(D.layers)))
+    return sum(D.layers[:m]) + rank(build_matrix(rest, mults, points, p), p)
+
+
 def certify_nonspecial_rank(
     D: Diagram,
     mults,
@@ -210,6 +255,14 @@ def certify_nonspecial_rank(
     Success returns NonSpecial with the vector-space dimension
     cols - rank; after cfg.attempts failures returns Inconclusive
     (rank deficiency at special points proves nothing).
+
+    The rank comes from ``interpolation_rank``, which on a down-closed D
+    moves the heaviest point to the origin and eliminates a smaller
+    matrix.  The translation is a unitriangular change of basis on the
+    span of D, so the rank at the sampled points is the one the whole
+    matrix has: the same points are drawn, the same attempt succeeds,
+    and the step records the rows, columns and rank of the whole matrix,
+    so no certificate field changes.
     """
     cfg = cfg or PrimeFieldConfig()
     mults = [m for m in mults]
@@ -225,7 +278,7 @@ def certify_nonspecial_rank(
         return Verdict(NON_SPECIAL, dim=cols, certificate=(step,))
     for attempt in range(1, cfg.attempts + 1):
         pts = sample_points(len(mults), cfg.p, rng)
-        rk = rank(build_matrix(D, mults, pts, cfg.p), cfg.p)
+        rk = interpolation_rank(D, mults, pts, cfg.p)
         if rk == min(rows, cols):
             step = Step(
                 "rank",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -67,6 +68,27 @@ class TestClassify:
         assert step.op == "rank"
         assert (step.params["rows"], step.params["cols"]) == (2, 0)
         assert step.params["rank"] == 0
+
+    @pytest.mark.parametrize("text, rows", [
+        ("L(10;5000)", 12_502_500),
+        ("L(10;5000,5000)", 25_005_000),
+    ])
+    def test_rank_of_a_point_heavier_than_the_degree(self, text, rows):
+        # the whole matrix would be rows x 66 (6.6 GB for one point); with
+        # the heavy point at the origin, no row or no column is left
+        cfg = EngineConfig(stages=("rank",))
+        classify(parse_system("L(4;2^5)"), cfg)  # numpy loads outside the trace
+        tracemalloc.start()
+        try:
+            v = classify(parse_system(text), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.kind == EMPTY
+        step = v.certificate[-1]
+        assert step.op == "rank"
+        assert (step.params["rows"], step.params["cols"], step.params["rank"]) == (rows, 66, 66)
+        assert peak < 1_000_000
 
     def test_negative_degree(self):
         v = classify(LinearSystem(-2, (3,)))

@@ -10,17 +10,25 @@ from fatpoints._gauss import (
     rank_mod_p,
 )
 from fatpoints.diagrams import Diagram, diagram, p_of, reduce_chain, triangle
+from fatpoints import fplinalg
 from fatpoints.fplinalg import (
     DegeneratePointsError,
     _is_prime,
     PrimeFieldConfig,
     build_matrix,
     certify_nonspecial_rank,
+    interpolation_rank,
     rank,
     sample_points,
     task_rng,
 )
-from fatpoints.initial_cases import FamilySpec, tail_diagram, tails, throwout_tail
+from fatpoints.initial_cases import (
+    FamilySpec,
+    run_initial_cases,
+    tail_diagram,
+    tails,
+    throwout_tail,
+)
 from fatpoints.systems import INCONCLUSIVE, NON_SPECIAL
 
 
@@ -341,6 +349,142 @@ class TestFamilyTraffic:
         before = A.copy()
         assert rank(A, P) == min(A.shape)
         assert np.array_equal(A, before)
+
+
+def _random_down_closed(rng, nlayers):
+    """A random down-closed diagram: a layer may be anything after a full
+    one, and no longer than the one before otherwise."""
+    c = [1]
+    for j in range(2, nlayers + 1):
+        if c[-1] == j - 1 and rng.random() < 0.6:
+            c.append(j)
+        else:
+            c.append(int(rng.integers(0, (j if c[-1] == j - 1 else c[-1]) + 1)))
+    return Diagram(tuple(c))
+
+
+def _whole_rank(D, mults, points):
+    return rank(build_matrix(D, mults, points, P), P)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record (diagram, mults, points, shape) of every build_matrix call."""
+    seen = []
+
+    def recording(D, mults, points, p):
+        A = build_matrix(D, mults, points, p)
+        seen.append((D, list(mults), list(points), A.shape))
+        return A
+
+    monkeypatch.setattr(fplinalg, "build_matrix", recording)
+    return seen
+
+
+class TestDownClosed:
+    @pytest.mark.parametrize("layers, closed", [
+        ((), False),
+        ((1,), True),
+        ((0, 1), False),
+        ((1, 0, 1), False),
+        ((1, 1, 1), True),
+        ((1, 1, 2), False),
+        ((1, 2, 2, 2), True),
+        ((1, 2, 1, 3), False),
+        ((1, 2, 2, 3), False),
+        ((1, 2, 3, 4, 2), True),
+        ((1, 2, 3, 4, 5), True),
+        ((1, 2, 3, 4, 5, 0, 1), False),
+    ])
+    def test_table(self, layers, closed):
+        assert Diagram(layers).down_closed is closed
+
+    def test_is_closure_under_division(self):
+        # every diagram of at most five layers, against the definition
+        def closed(D):
+            cells = set(D.monomials())
+            return bool(cells) and all(
+                (a - 1, b) in cells for a, b in cells if a) and all(
+                (a, b - 1) in cells for a, b in cells if b)
+
+        layers = [()]
+        for j in range(1, 6):
+            layers += [c + (k,) for c in layers if len(c) == j - 1 for k in range(j + 1)]
+        assert len(layers) == 1 + 2 + 6 + 24 + 120 + 720
+        for c in layers:
+            assert Diagram(c).down_closed is closed(Diagram(c)), c
+
+
+class TestInterpolationRank:
+    """The heaviest point moved to the origin: same rank as the whole
+    matrix at the same points, from a smaller matrix."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_whole_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        D = _random_down_closed(rng, int(rng.integers(1, 10)))
+        assert D.down_closed
+        mults = [int(m) for m in rng.integers(1, 6, size=int(rng.integers(1, 7)))]
+        random_points = sample_points(len(mults), P, rng)
+        # points on the line y = 2x + 5 impose dependent conditions, so the
+        # rank is often deficient; the line misses the origin, so the
+        # moved configuration differs from the unmoved one
+        line = [(k, 2 * k + 5) for k in range(1, len(mults) + 1)]
+        for points in (random_points, line):
+            assert interpolation_rank(D, mults, points, P) == _whole_rank(D, mults, points)
+
+    @pytest.mark.parametrize("D, mults, shape", [
+        (triangle(5), [2, 3, 3, 1], (10, 9)),  # a tie: the first 3 goes
+        (triangle(3), [5, 1], (1, 0)),  # m >= nlayers
+        (diagram(1, 2, 2, 2), [3, 1], (1, 2)),  # no triangle(3) inside D
+        (triangle(4), [2], (0, 7)),  # a single point: no row left
+        (triangle(3), [4, 2], (3, 0)),  # the diagram emptied: no column left
+        (triangle(5), [2] * 5, (12, 12)),  # L(4; 2^5): deficient
+    ])
+    def test_edge_cases(self, builds, D, mults, shape):
+        points = [(3 + 5 * k, 11 + 7 * k) for k in range(len(mults))]
+        got = interpolation_rank(D, mults, points, P)
+        ((_, ms, _, built),) = builds
+        assert built == shape
+        assert len(ms) == len(mults) - 1
+        assert got == _whole_rank(D, mults, points)
+
+    def test_ties_move_the_first_heaviest_point(self, builds):
+        points = [(3, 4), (10, 20), (30, 50)]
+        interpolation_rank(triangle(5), [2, 3, 3], points, P)
+        ((_, ms, moved, _),) = builds
+        assert ms == [2, 3]
+        assert moved == [((3 - 10) % P, (4 - 20) % P), (20, 30)]
+
+    def test_not_down_closed_takes_the_whole_matrix(self, builds):
+        D = diagram(1, 2, 1, 3)
+        assert not D.down_closed
+        points = [(3, 4), (10, 20)]
+        assert interpolation_rank(D, [2, 1], points, P) == _whole_rank(D, [2, 1], points)
+        assert builds[0][:3] == (D, [2, 1], points)
+
+    def test_rejects_what_build_matrix_rejects(self):
+        with pytest.raises(DegeneratePointsError):
+            interpolation_rank(triangle(3), [1, 2], [(5, 7), (5, 7)])
+        with pytest.raises(ValueError, match="multiplicities >= 1"):
+            interpolation_rank(triangle(3), [2, 0], [(5, 7), (6, 8)])
+        with pytest.raises(ValueError, match="one point per"):
+            interpolation_rank(triangle(3), [2, 1], [(5, 7)])
+
+    def test_family_attempts_match_the_whole_matrix(self, monkeypatch):
+        # every certification attempt of (5,10,1), on its own sampled points
+        calls = []
+
+        def checked(D, mults, points, p):
+            got = interpolation_rank(D, mults, points, p)
+            assert D.down_closed
+            assert got == rank(build_matrix(D, mults, points, p), p)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(fplinalg, "interpolation_rank", checked)
+        run_initial_cases(FamilySpec(5, 10, 1))
+        assert len(calls) == 624
 
 
 class TestCertificate:
