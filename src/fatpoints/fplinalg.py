@@ -33,6 +33,35 @@ rank of the other points' rows on the remaining columns.
 multiplicity, which leaves the smallest matrix, and keeps the plain
 matrix for any diagram that is not down-closed.
 
+The next heaviest point at (1, 0).  Let p1 = (dx, dy), dx != 0, be the
+first of the other points of largest multiplicity m1 after the move.
+The linear map (x, y) -> (x/dx, y - (dy/dx)·x) fixes the origin and
+takes p1 to (1, 0).  Its inverse sends x^a y^b to (dx·x)^a (y + dy·x)^b,
+a sum of monomials of the same degree with y-exponent <= b.  Layer j of
+D holds the monomials of degree j - 1 with y-exponent below c_j, so the
+map takes the span of D, and of D without its first m0 layers, onto
+itself, and the rank is again the same at the same sampled points.  At
+y = 0 the derivative d^beta/dy^beta of a polynomial is beta! times its
+coefficient of y^beta, so p1's rows say: for each b < m1, the slice
+sum_a f_ab x^a vanishes to order k = m1 - b at x = 1.  The slice b of a
+down-closed D is an initial segment a < A_b, since dividing by x stays
+in D (equivalently, D's layers are full up to some layer and
+non-increasing after it).  Without the first m0 layers, for b < m1 <=
+m0, it is the interval of the n_b degrees m0 <= a + b < m0 + n_b.  A
+polynomial x^lo h(x), deg h < n, vanishes to order k at 1 exactly when
+(x - 1)^k divides h, so p1's rows have rank min(k, n) on the slice.
+When k < n, the columns of x^(a-k) (x - 1)^k y^b = sum_t C(k,t)
+(-1)^(k-t) x^(a-k+t) y^b, for the last n - k cells of the slice,
+together with the first k cells, are a unitriangular change of basis
+on which p1's rows vanish except on those first k cells, where they
+have full column rank.  So the rank is sum_b min(k, n_b) plus the rank
+of the other points' rows on the changed columns (the "fold") and on
+the cells with b >= m1, which p1's rows do not touch.  A step of the
+fold multiplies by at most FOLD = 22 factors x - 1, whose coefficients
+have absolute values summing to at most 2^22, so its float64 products
+of residues stay below 2^22·p < 2^53 and are exact; a larger k takes
+several steps.
+
 numpy and the kernel are imported inside ``build_matrix``, ``rank`` and
 ``task_rng``, so they load at the first matrix, not with the package.
 Standard form, the axioms, glueing and reduction need no matrix, and a
@@ -51,6 +80,7 @@ wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -64,6 +94,10 @@ DEFAULT_PRIME = 2**31 - 1
 # every product of two residues below P_LIMIT fits in int64, and the rank
 # kernel's split float64 products stay exact (see ``_gauss``)
 P_LIMIT = 2**31
+# the most factors x - 1 one fold step multiplies by: its float64 sums
+# stay exact (see ``_fold_point_at_one``)
+FOLD = 22
+assert 2**FOLD * (P_LIMIT - 2) < 2**53
 
 
 class DegeneratePointsError(ValueError):
@@ -175,12 +209,16 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
     mults = list(mults)
     points = list(points)
     _check_points(mults, points, p)
-    mons = D.monomials()
-    n = len(mons)
+    n = D.cells
     rows = sum(comb(m + 1, 2) for m in mults)
     if n == 0 or rows == 0:
         return np.zeros((rows, n), dtype=np.int64)
-    ea, eb = np.array(mons, dtype=np.int64).T
+    # the cells of D.monomials(): x^(i-b) y^b for b < c, the i-th layer
+    # (from 0) of size c
+    layers = np.array(D.layers, dtype=np.int64)
+    start = np.cumsum(layers) - layers
+    eb = np.arange(n, dtype=np.int64) - np.repeat(start, layers)
+    ea = np.repeat(np.arange(len(layers), dtype=np.int64), layers) - eb
     mmax = max(mults)
     # exponents reach nlayers - 1 and derivative orders mmax - 1, even on
     # low-degree diagrams
@@ -191,10 +229,14 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
     for i in range(1, mmax):
         FF[i] = FF[i - 1] * np.maximum(top - i + 1, 0) % p
     # PW[0, j, i] = x_j^i and PW[1, j, i] = y_j^i mod p
+    # by doubling: x^(s+i) = x^s x^i for i < s
     PW = np.ones((2, len(points), w), dtype=np.int64)
-    xy = np.array(points, dtype=np.int64).reshape(-1, 2).T % p
-    for i in range(1, w):
-        PW[:, :, i] = PW[:, :, i - 1] * xy % p
+    xs = np.array(points, dtype=np.int64).reshape(-1, 2).T % p
+    s = 1
+    while s < w:
+        PW[:, :, s:2 * s] = PW[:, :, :min(s, w - s)] * xs[:, :, None] % p
+        xs = xs * xs % p
+        s *= 2
     # per-point tables XY[0][j·mmax + alpha, a] = FF[alpha, a] x_j^(a-alpha)
     # and XY[1][j·mmax + beta, b] = FF[beta, b] y_j^(b-beta); where
     # alpha > a the FF factor is 0, so the clipped power index is harmless
@@ -220,15 +262,83 @@ def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
 
 
+def _fold_point_at_one(A: np.ndarray, rest: Diagram, m0: int, m1: int,
+                       p: int) -> tuple[int, np.ndarray]:
+    """Fold the block of a point of multiplicity m1 at (1, 0) out of A.
+
+    A holds the other points' rows, reduced mod p, on the cells of
+    ``rest``: a down-closed diagram without its first m0 >= m1 layers,
+    so its slice x^a y^b, b < m0, holds the n_b degrees from m0 on (see
+    the module docstring).  Returns the pivots of that point, the sum
+    over b of min(k_b, n_b) with k_b = max(m1 - b, 0), and the columns
+    left, slice by slice: the last n_b - k_b cells x^a y^b of each slice,
+    each as the column of x^(a-k_b) (x - 1)^(k_b) y^b.  Those entries
+    are integers below 2^53 in absolute value, not reduced mod p.  Rows
+    go CHUNK at a time, so no temporary grows with the row count.
+    """
+    import numpy as np
+
+    from ._gauss import CHUNK
+
+    c = np.array(rest.layers[m0:], dtype=np.int64)
+    L = len(c)
+    if not L:
+        return 0, A
+    # grid[b, i]: the column of x^(m0+i-b) y^b, or any column where there is none
+    b = np.arange(c.max())[:, None]
+    cell = b < c
+    grid = np.where(cell, np.cumsum(c) - c + b, 0)
+    k = np.maximum(m1 - b, 0)
+    kept = cell & (np.arange(L) >= k)
+    # (x - 1)^k in steps of at most FOLD factors: a step of s factors sets
+    # position j of a slice to sum_t C[s, t] times its position j - s + t
+    coef = _difference_coefficients()
+    d = np.arange(L) - np.arange(L)[:, None]
+    steps = []
+    while k.any():
+        s = np.minimum(k, FOLD)[:, :, None]
+        steps.append(coef[s, np.clip(d + s, -1, FOLD + 1)])
+        k = k - s[:, :, 0]
+    out = np.empty((len(A), int(kept.sum())), dtype=np.int64)
+    for i in range(0, len(A), CHUNK):
+        # |S| < p before each step, so every sum is below 2^FOLD·p < 2^53
+        S = A[i:i + CHUNK].T[grid].astype(np.float64)
+        for M in steps[:-1]:
+            S = np.fmod(M @ S, p)
+        out[i:i + CHUNK] = (steps[-1] @ S).transpose(2, 0, 1)[:, kept]
+    return rest.cells - out.shape[1], out
+
+
+@cache
+def _difference_coefficients() -> np.ndarray:
+    """C[s, t]: the coefficient of x^t in (x - 1)^s, for s, t <= FOLD + 1.
+
+    Read only.  Column FOLD + 1 (also index -1) is 0 for every s <= FOLD.
+    """
+    import numpy as np
+
+    n = FOLD + 2
+    C = np.array([[(-1) ** (s - t) * comb(s, t) for t in range(n)] for s in range(n)],
+                 dtype=np.float64)
+    C.flags.writeable = False
+    return C
+
+
 def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int:
     """Rank over F_p of the interpolation matrix of V(D; mults) at points.
 
-    On a down-closed D the first point of largest multiplicity m is moved
-    to the origin (see the module docstring): its rows fix the cells of
-    the first m layers, so the rank is their count plus the rank of the
-    other points, moved by the same translation, on the cells of degree
-    >= m.  Any other D, or no point at all, gets the plain matrix.  Either
-    way one ``build_matrix`` and one ``rank`` call are made.
+    On a down-closed D the first point of largest multiplicity m0 is
+    moved to the origin, and the first of the others of largest
+    multiplicity m1 to (1, 0), by a translation and a linear map that
+    keep the span of D (see the module docstring).  The origin's rows
+    fix the cells of the first m0 layers.  On the cells left, the rows
+    of (1, 0) fix sum_b min(m1 - b, n_b) pivots, n_b the length of the
+    slice x^a y^b, and are folded out of the other columns.  The rank is
+    those counts plus the rank of the other points' rows on the folded
+    columns.  A single point, or a second one on the first one's
+    vertical line, is only moved to the origin; any other D, or no
+    point, gets the plain matrix.  Either way one ``build_matrix`` and
+    one ``rank`` call are made.
     """
     mults = list(mults)
     points = list(points)
@@ -236,11 +346,21 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
     if not points or not D.down_closed:
         return rank(build_matrix(D, mults, points, p), p)
     i = mults.index(max(mults))
-    m = mults.pop(i)
+    m0 = mults.pop(i)
     x0, y0 = points.pop(i)
     points = [((x - x0) % p, (y - y0) % p) for x, y in points]
-    rest = Diagram(tuple(c if j >= m else 0 for j, c in enumerate(D.layers)))
-    return sum(D.layers[:m]) + rank(build_matrix(rest, mults, points, p), p)
+    fixed = sum(D.layers[:m0])
+    rest = Diagram(tuple(c if j >= m0 else 0 for j, c in enumerate(D.layers)))
+    i = mults.index(max(mults)) if mults else None
+    if i is None or not points[i][0]:
+        return fixed + rank(build_matrix(rest, mults, points, p), p)
+    m1 = mults.pop(i)
+    dx, dy = points.pop(i)
+    u = pow(dx, -1, p)
+    v = dy * u % p
+    points = [(x * u % p, (y - v * x) % p) for x, y in points]
+    pivots, A = _fold_point_at_one(build_matrix(rest, mults, points, p), rest, m0, m1, p)
+    return fixed + pivots + rank(A, p)
 
 
 def certify_nonspecial_rank(
@@ -257,12 +377,19 @@ def certify_nonspecial_rank(
     (rank deficiency at special points proves nothing).
 
     The rank comes from ``interpolation_rank``, which on a down-closed D
-    moves the heaviest point to the origin and eliminates a smaller
-    matrix.  The translation is a unitriangular change of basis on the
-    span of D, so the rank at the sampled points is the one the whole
-    matrix has: the same points are drawn, the same attempt succeeds,
-    and the step records the rows, columns and rank of the whole matrix,
-    so no certificate field changes.
+    moves the heaviest point to the origin and the next heaviest to
+    (1, 0), and eliminates a smaller matrix.  The translation and the
+    linear map (x, y) -> (x/dx, y - (dy/dx)·x) keep the span of D, since
+    they keep degrees and never raise a y-exponent, and D's slices x^a y^b
+    are intervals, since its layers are full up to some layer and
+    non-increasing after it.  The point at (1, 0) asks each slice b < m1
+    to vanish to order m1 - b at x = 1, and the fold replaces each later
+    cell x^a y^b of the slice by x^(a-k) (x - 1)^k y^b, k = m1 - b, a
+    unitriangular change of basis on which those rows vanish.  So the
+    rank at the sampled points is the one the whole matrix has: the same
+    points are drawn, the same attempt succeeds, and the step records
+    the rows, columns and rank of the whole matrix, so no certificate
+    field changes.
     """
     cfg = cfg or PrimeFieldConfig()
     mults = [m for m in mults]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from fatpoints._gauss import (
 from fatpoints.diagrams import Diagram, diagram, p_of, reduce_chain, triangle
 from fatpoints import fplinalg
 from fatpoints.fplinalg import (
+    FOLD,
     DegeneratePointsError,
+    _fold_point_at_one,
     _is_prime,
     PrimeFieldConfig,
     build_matrix,
@@ -381,6 +385,27 @@ def builds(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def ranked(monkeypatch):
+    """Record the shape of every matrix passed to rank."""
+    seen = []
+
+    def recording(A, p):
+        seen.append(A.shape)
+        return rank(A, p)
+
+    monkeypatch.setattr(fplinalg, "rank", recording)
+    return seen
+
+
+def _all_diagrams(nlayers):
+    """Every layer tuple of at most nlayers layers."""
+    layers = [()]
+    for j in range(1, nlayers + 1):
+        layers += [c + (k,) for c in layers if len(c) == j - 1 for k in range(j + 1)]
+    return layers
+
+
 class TestDownClosed:
     @pytest.mark.parametrize("layers, closed", [
         ((), False),
@@ -407,17 +432,16 @@ class TestDownClosed:
                 (a - 1, b) in cells for a, b in cells if a) and all(
                 (a, b - 1) in cells for a, b in cells if b)
 
-        layers = [()]
-        for j in range(1, 6):
-            layers += [c + (k,) for c in layers if len(c) == j - 1 for k in range(j + 1)]
+        layers = _all_diagrams(5)
         assert len(layers) == 1 + 2 + 6 + 24 + 120 + 720
         for c in layers:
             assert Diagram(c).down_closed is closed(Diagram(c)), c
 
 
 class TestInterpolationRank:
-    """The heaviest point moved to the origin: same rank as the whole
-    matrix at the same points, from a smaller matrix."""
+    """The heaviest point moved to the origin and the next heaviest to
+    (1, 0): same rank as the whole matrix at the same points, from a
+    smaller matrix."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_the_whole_matrix(self, seed):
@@ -430,31 +454,123 @@ class TestInterpolationRank:
         # rank is often deficient; the line misses the origin, so the
         # moved configuration differs from the unmoved one
         line = [(k, 2 * k + 5) for k in range(1, len(mults) + 1)]
-        for points in (random_points, line):
+        parabola = [(k, k * k + 3) for k in range(1, len(mults) + 1)]
+        for points in (random_points, line, parabola):
             assert interpolation_rank(D, mults, points, P) == _whole_rank(D, mults, points)
 
     @pytest.mark.parametrize("D, mults, shape", [
-        (triangle(5), [2, 3, 3, 1], (10, 9)),  # a tie: the first 3 goes
-        (triangle(3), [5, 1], (1, 0)),  # m >= nlayers
-        (diagram(1, 2, 2, 2), [3, 1], (1, 2)),  # no triangle(3) inside D
+        (triangle(5), [2, 3, 3, 1], (4, 9)),  # a tie: the first 3 goes
+        (triangle(3), [5, 1], (0, 0)),  # m >= nlayers
+        (diagram(1, 2, 2, 2), [3, 1], (0, 2)),  # no triangle(3) inside D
         (triangle(4), [2], (0, 7)),  # a single point: no row left
-        (triangle(3), [4, 2], (3, 0)),  # the diagram emptied: no column left
-        (triangle(5), [2] * 5, (12, 12)),  # L(4; 2^5): deficient
+        (triangle(3), [4, 2], (0, 0)),  # the diagram emptied: no column left
+        (triangle(5), [2] * 5, (9, 12)),  # L(4; 2^5): deficient
     ])
     def test_edge_cases(self, builds, D, mults, shape):
         points = [(3 + 5 * k, 11 + 7 * k) for k in range(len(mults))]
         got = interpolation_rank(D, mults, points, P)
         ((_, ms, _, built),) = builds
         assert built == shape
-        assert len(ms) == len(mults) - 1
+        # distinct x coordinates: two points move, or the only one
+        assert len(ms) == max(len(mults) - 2, 0)
         assert got == _whole_rank(D, mults, points)
 
     def test_ties_move_the_first_heaviest_point(self, builds):
         points = [(3, 4), (10, 20), (30, 50)]
         interpolation_rank(triangle(5), [2, 3, 3], points, P)
         ((_, ms, moved, _),) = builds
-        assert ms == [2, 3]
-        assert moved == [((3 - 10) % P, (4 - 20) % P), (20, 30)]
+        assert ms == [2]
+        # (3, 4) - (10, 20) = (-7, -16), then (x, y) -> (x/dx, y - (dy/dx)·x)
+        # for (dx, dy) = (30, 50) - (10, 20) = (20, 30)
+        u = pow(20, -1, P)
+        assert moved == [(-7 * u % P, (-16 + 30 * u * 7) % P)]
+
+    @pytest.mark.parametrize("D, mults, built, folded", [
+        # m1 = 2 < m0 = 4: slices b = 0, 1 of degrees 4..7 keep 2 and 3 cells
+        (triangle(8), [4, 2, 1, 1], (2, 26), (2, 23)),
+        # a tie m0 = m1 = 3 on (4, 4, 3) from degree 3: slice 0 (3 cells,
+        # k = 3) is all pivots, slices 1 and 2 keep 1 and 2, slice 3 is kept
+        (diagram(1, 2, 3, 4, 4, 3), [3, 1, 3], (1, 11), (1, 5)),
+        # k >= n in every slice b < m1: only x^0 y^3 is left
+        (diagram(1, 2, 3, 4, 2), [3, 3, 2, 1], (4, 6), (4, 1)),
+        # two slices of 30 degrees from 23: k = 23 > FOLD takes two steps
+        (Diagram((1,) + (2,) * 52), [23, 23, 2], (3, 60), (3, 15)),
+    ])
+    def test_slices_short_and_long(self, builds, ranked, D, mults, built, folded):
+        rng = np.random.default_rng(len(mults))
+        points = sample_points(len(mults), P, rng)
+        got = interpolation_rank(D, mults, points, P)
+        assert [b[3] for b in builds] == [built]
+        assert ranked == [folded]
+        assert got == _whole_rank(D, mults, points)
+
+    def test_points_collinear_with_the_first_two_land_on_y_0(self, builds):
+        # quintics with a triple, two double and a simple point on the
+        # line y = 3x + 1: the line is a component, so the rank is deficient
+        D, mults = triangle(6), [3, 2, 2, 1]
+        points = [(x, 3 * x + 1) for x in (2, 5, 7, 11)]
+        got = interpolation_rank(D, mults, points, P)
+        ((_, _, moved, _),) = builds
+        assert all(y == 0 for _, y in moved)
+        assert got == _whole_rank(D, mults, points) < 13
+
+    def test_a_point_on_the_first_ones_vertical_line(self, builds):
+        # (5, 11) shares p0's x coordinate: it moves to x = 0
+        points = [(5, 7), (9, 2), (5, 11), (8, 3)]
+        got = interpolation_rank(triangle(7), [3, 2, 2, 1], points, P)
+        ((_, ms, moved, _),) = builds
+        assert ms == [2, 1] and moved[0][0] == 0
+        assert got == _whole_rank(triangle(7), [3, 2, 2, 1], points)
+
+    def test_second_point_on_the_first_ones_vertical_line(self, builds, ranked):
+        # dx = 0: only the move to the origin
+        points = [(5, 7), (5, 11), (9, 2)]
+        got = interpolation_rank(triangle(6), [3, 2, 1], points, P)
+        ((_, ms, moved, built),) = builds
+        assert ms == [2, 1] and moved == [(0, 4), (4, (2 - 7) % P)]
+        assert built == ranked[0] == (4, 15)
+        assert got == _whole_rank(triangle(6), [3, 2, 1], points)
+
+    def test_every_small_diagram_with_three_points(self):
+        # every diagram of at most five layers; on a down-closed one each
+        # slice x^a y^b is an interval of degrees, also above any degree m0
+        points = [(2, 9), (7, 4), (12, 30)]
+        for layers in _all_diagrams(5):
+            D = Diagram(layers)
+            if D.down_closed:
+                cells = D.monomials()
+                for m0 in range(6):
+                    for b in range(5):
+                        deg = sorted(a + b for a, bb in cells if bb == b and a + b >= m0)
+                        lo = max(m0, b)
+                        assert deg == list(range(lo, lo + len(deg))), (layers, m0, b)
+            for mults in ([2, 2, 1], [3, 1, 2], [1, 1, 1]):
+                assert interpolation_rank(D, mults, points, P) == _whole_rank(D, mults, points)
+
+    @pytest.mark.parametrize("m1", [FOLD, FOLD + 1, 2 * FOLD + 1])
+    def test_fold_is_exact_at_the_step_bound(self, m1):
+        # slices b = 0, 1 of 3·FOLD degrees from m0 = 2·FOLD + 1, entries
+        # near p.  The sign of x^(a-k+t) in x^(a-k) (x - 1)^k is that of
+        # (-1)^(k-t), so row 0 keeps only odd a and row 1 only even a: the
+        # terms of one sign vanish, and each sum of the other sign peaks
+        m0 = 2 * FOLD + 1
+        rest = Diagram((0,) * m0 + (2,) * (3 * FOLD))
+        rng = np.random.default_rng(m1)
+        A = P - 1 - rng.integers(0, 2**20, size=(3, rest.cells))
+        col = {cell: j for j, cell in enumerate(rest.monomials())}
+        odd = np.array([a % 2 for a, _ in rest.monomials()])
+        A[0] *= odd
+        A[1] *= 1 - odd
+        pivots, out = _fold_point_at_one(A.copy(), rest, m0, m1, P)
+        want = []
+        for b in range(2):
+            k, n = m1 - b, 3 * FOLD
+            for d in range(k, n):
+                a = m0 + d - b
+                want.append([sum((-1) ** (k - t) * comb(k, t) * int(A[r, col[(a - k + t, b)]])
+                                 for t in range(k + 1)) % P for r in range(3)])
+        assert pivots == 2 * m1 - 1
+        assert (out % P).T.tolist() == want
 
     def test_not_down_closed_takes_the_whole_matrix(self, builds):
         D = diagram(1, 2, 1, 3)
