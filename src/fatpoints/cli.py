@@ -162,7 +162,7 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
         sys.exit(2)
 
 
-def _trace_text(trace: ReductionTrace, mults) -> str:
+def _trace_text(trace: ReductionTrace) -> str:
     lines = [f"{'diagram':<40} {'cells':>6}  v"]
     lines.append(f"{str(trace.initial):<40} "
                  f"{trace.initial.cells:>6}")
@@ -182,20 +182,16 @@ def _trace_text(trace: ReductionTrace, mults) -> str:
 @main.command("reduce")
 @click.option("--diagram", "diagram_text", required=True)
 @click.option("--mults", "mults_text", required=True)
-@click.option("--order", "order_text", default=None,
-              help="Multiplicity order override, same grammar as --mults.")
 @click.pass_context
-def reduce_cmd(ctx: click.Context, diagram_text: str, mults_text: str,
-               order_text: str | None) -> None:
+def reduce_cmd(ctx: click.Context, diagram_text: str, mults_text: str) -> None:
     """Run the reduction chain on a diagram."""
     from .diagrams import reduce_chain
 
     D = _parse(parse_diagram, diagram_text)
     mults = _parse(parse_mults, mults_text)
-    order = _parse(parse_mults, order_text) if order_text else None
-    if any(m < 0 for m in mults + (order or ())):
+    if any(m < 0 for m in mults):
         raise click.UsageError("reduce needs mults >= 0")
-    trace = reduce_chain(D, mults, order=order)
+    trace = reduce_chain(D, mults)
     payload = {
         "diagram": str(D),
         "mults": list(mults),
@@ -209,7 +205,7 @@ def reduce_cmd(ctx: click.Context, diagram_text: str, mults_text: str,
         "consumed_all": trace.consumed_all,
         "residual_mults": list(trace.residual_mults),
     }
-    _emit(ctx, payload, _trace_text(trace, mults))
+    _emit(ctx, payload, _trace_text(trace))
 
 
 @main.command("rank")

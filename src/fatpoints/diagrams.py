@@ -64,14 +64,6 @@ class Diagram:
         c = self.layers
         return c[:1] == (1,) and all(min(c[i], i) <= c[i - 1] for i in range(1, len(c)))
 
-    def monomials(self) -> list[tuple[int, int]]:
-        """Cells as exponent pairs (a, b), layer by layer."""
-        out = []
-        for j, c in enumerate(self.layers, start=1):
-            for b in range(c):
-                out.append((j - 1 - b, b))
-        return out
-
     def __str__(self) -> str:
         return format_diagram(self)
 
@@ -181,15 +173,15 @@ class ReductionTrace:
         return not self.residual_mults
 
 
-def reduce_chain(D: Diagram, mults, order=None) -> ReductionTrace:
+def reduce_chain(D: Diagram, mults) -> ReductionTrace:
     """Apply reduce_m for each multiplicity in order, stopping when stuck.
 
-    The default order is the given one (callers put the distinguished
-    multiplicity first).  Zero multiplicities impose no condition and
-    are consumed for free.  Irreducibility is a normal outcome: the
-    remaining multiplicities are reported as residual.
+    Callers put the distinguished multiplicity first.  Zero
+    multiplicities impose no condition and are consumed for free.
+    Irreducibility is a normal outcome: the remaining multiplicities are
+    reported as residual.
     """
-    seq = list(mults) if order is None else list(order)
+    seq = list(mults)
     if any(m < 0 for m in seq):
         raise ValueError("reduce_chain needs non-negative multiplicities")
     cur = D

@@ -56,11 +56,14 @@ together with the first k cells, are a unitriangular change of basis
 on which p1's rows vanish except on those first k cells, where they
 have full column rank.  So the rank is sum_b min(k, n_b) plus the rank
 of the other points' rows on the changed columns (the "fold") and on
-the cells with b >= m1, which p1's rows do not touch.  A step of the
-fold multiplies by at most FOLD = 22 factors x - 1, whose coefficients
-have absolute values summing to at most 2^22, so its float64 products
-of residues stay below 2^22·p < 2^53 and are exact; a larger k takes
-several steps.
+the cells with b >= m1, which p1's rows do not touch.  When there is
+no other point, or the first heaviest one lies on p0's vertical line
+(dx = 0), m1 = 0 and nothing is folded.
+
+The fold is k passes of a first difference in int64: multiplying by
+x - 1 replaces the column of x^a y^b by it minus that of x^(a-1) y^b.
+A pass at most doubles the largest |entry|, so reducing mod p once
+every 30 passes keeps every entry below 2^30·p < 2^61.
 
 numpy and the kernel are imported inside ``build_matrix``, ``rank`` and
 ``task_rng``, so they load at the first matrix, not with the package.
@@ -80,7 +83,6 @@ wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -94,10 +96,6 @@ DEFAULT_PRIME = 2**31 - 1
 # every product of two residues below P_LIMIT fits in int64, and the rank
 # kernel's split float64 products stay exact (see ``_gauss``)
 P_LIMIT = 2**31
-# the most factors x - 1 one fold step multiplies by: its float64 sums
-# stay exact (see ``_fold_point_at_one``)
-FOLD = 22
-assert 2**FOLD * (P_LIMIT - 2) < 2**53
 
 
 class DegeneratePointsError(ValueError):
@@ -213,8 +211,8 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
     rows = sum(comb(m + 1, 2) for m in mults)
     if n == 0 or rows == 0:
         return np.zeros((rows, n), dtype=np.int64)
-    # the cells of D.monomials(): x^(i-b) y^b for b < c, the i-th layer
-    # (from 0) of size c
+    # the cells of D, layer by layer: x^(i-b) y^b for b < c, the i-th
+    # layer (from 0) of size c
     layers = np.array(D.layers, dtype=np.int64)
     start = np.cumsum(layers) - layers
     eb = np.arange(n, dtype=np.int64) - np.repeat(start, layers)
@@ -273,72 +271,46 @@ def _fold_point_at_one(A: np.ndarray, rest: Diagram, m0: int, m1: int,
     over b of min(k_b, n_b) with k_b = max(m1 - b, 0), and the columns
     left, slice by slice: the last n_b - k_b cells x^a y^b of each slice,
     each as the column of x^(a-k_b) (x - 1)^(k_b) y^b.  Those entries
-    are integers below 2^53 in absolute value, not reduced mod p.  Rows
-    go CHUNK at a time, so no temporary grows with the row count.
+    are integers below 2^61 in absolute value, not reduced mod p.  With
+    m1 = 0, A itself is returned.  Rows go CHUNK at a time, so no
+    temporary grows with the row count.
     """
     import numpy as np
 
     from ._gauss import CHUNK
 
     c = np.array(rest.layers[m0:], dtype=np.int64)
-    L = len(c)
-    if not L:
+    if not (m1 and len(c)):
         return 0, A
     # grid[b, i]: the column of x^(m0+i-b) y^b, or any column where there is none
     b = np.arange(c.max())[:, None]
     cell = b < c
     grid = np.where(cell, np.cumsum(c) - c + b, 0)
-    k = np.maximum(m1 - b, 0)
-    kept = cell & (np.arange(L) >= k)
-    # (x - 1)^k in steps of at most FOLD factors: a step of s factors sets
-    # position j of a slice to sum_t C[s, t] times its position j - s + t
-    coef = _difference_coefficients()
-    d = np.arange(L) - np.arange(L)[:, None]
-    steps = []
-    while k.any():
-        s = np.minimum(k, FOLD)[:, :, None]
-        steps.append(coef[s, np.clip(d + s, -1, FOLD + 1)])
-        k = k - s[:, :, 0]
+    kept = cell & (np.arange(len(c)) >= m1 - b)
     out = np.empty((len(A), int(kept.sum())), dtype=np.int64)
     for i in range(0, len(A), CHUNK):
-        # |S| < p before each step, so every sum is below 2^FOLD·p < 2^53
-        S = A[i:i + CHUNK].T[grid].astype(np.float64)
-        for M in steps[:-1]:
-            S = np.fmod(M @ S, p)
-        out[i:i + CHUNK] = (steps[-1] @ S).transpose(2, 0, 1)[:, kept]
+        S = A[i:i + CHUNK].T[grid]
+        # pass t replaces positions > t of the slices with k_b > t, those
+        # with b < m1 - t, by their first differences; positions <= t are
+        # pivots or no longer read, and a slice's filler positions past
+        # n_b are read only by later ones
+        for t in range(m1):
+            S[:m1 - t, t + 1:] -= S[:m1 - t, t:-1]
+            if t % 30 == 29:
+                S %= p
+        out[i:i + CHUNK] = S.transpose(2, 0, 1)[:, kept]
     return rest.cells - out.shape[1], out
-
-
-@cache
-def _difference_coefficients() -> np.ndarray:
-    """C[s, t]: the coefficient of x^t in (x - 1)^s, for s, t <= FOLD + 1.
-
-    Read only.  Column FOLD + 1 (also index -1) is 0 for every s <= FOLD.
-    """
-    import numpy as np
-
-    n = FOLD + 2
-    C = np.array([[(-1) ** (s - t) * comb(s, t) for t in range(n)] for s in range(n)],
-                 dtype=np.float64)
-    C.flags.writeable = False
-    return C
 
 
 def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int:
     """Rank over F_p of the interpolation matrix of V(D; mults) at points.
 
-    On a down-closed D the first point of largest multiplicity m0 is
-    moved to the origin, and the first of the others of largest
-    multiplicity m1 to (1, 0), by a translation and a linear map that
-    keep the span of D (see the module docstring).  The origin's rows
-    fix the cells of the first m0 layers.  On the cells left, the rows
-    of (1, 0) fix sum_b min(m1 - b, n_b) pivots, n_b the length of the
-    slice x^a y^b, and are folded out of the other columns.  The rank is
-    those counts plus the rank of the other points' rows on the folded
-    columns.  A single point, or a second one on the first one's
-    vertical line, is only moved to the origin; any other D, or no
-    point, gets the plain matrix.  Either way one ``build_matrix`` and
-    one ``rank`` call are made.
+    On a down-closed D the heaviest point goes to the origin and the next
+    heaviest, unless it shares that point's x coordinate, to (1, 0); the
+    rank is their pivots plus the rank of a smaller folded matrix (see
+    the module docstring).  Any other D, or no point, gets the plain
+    matrix.  Either way one ``build_matrix`` and one ``rank`` call are
+    made.
     """
     mults = list(mults)
     points = list(points)
@@ -351,13 +323,13 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
     points = [((x - x0) % p, (y - y0) % p) for x, y in points]
     fixed = sum(D.layers[:m0])
     rest = Diagram(tuple(c if j >= m0 else 0 for j, c in enumerate(D.layers)))
+    m1, u, v = 0, 1, 0
     i = mults.index(max(mults)) if mults else None
-    if i is None or not points[i][0]:
-        return fixed + rank(build_matrix(rest, mults, points, p), p)
-    m1 = mults.pop(i)
-    dx, dy = points.pop(i)
-    u = pow(dx, -1, p)
-    v = dy * u % p
+    if i is not None and points[i][0]:
+        m1 = mults.pop(i)
+        dx, dy = points.pop(i)
+        u = pow(dx, -1, p)
+        v = dy * u % p
     points = [(x * u % p, (y - v * x) % p) for x, y in points]
     pivots, A = _fold_point_at_one(build_matrix(rest, mults, points, p), rest, m0, m1, p)
     return fixed + pivots + rank(A, p)
@@ -376,20 +348,9 @@ def certify_nonspecial_rank(
     cols - rank; after cfg.attempts failures returns Inconclusive
     (rank deficiency at special points proves nothing).
 
-    The rank comes from ``interpolation_rank``, which on a down-closed D
-    moves the heaviest point to the origin and the next heaviest to
-    (1, 0), and eliminates a smaller matrix.  The translation and the
-    linear map (x, y) -> (x/dx, y - (dy/dx)·x) keep the span of D, since
-    they keep degrees and never raise a y-exponent, and D's slices x^a y^b
-    are intervals, since its layers are full up to some layer and
-    non-increasing after it.  The point at (1, 0) asks each slice b < m1
-    to vanish to order m1 - b at x = 1, and the fold replaces each later
-    cell x^a y^b of the slice by x^(a-k) (x - 1)^k y^b, k = m1 - b, a
-    unitriangular change of basis on which those rows vanish.  So the
-    rank at the sampled points is the one the whole matrix has: the same
-    points are drawn, the same attempt succeeds, and the step records
-    the rows, columns and rank of the whole matrix, so no certificate
-    field changes.
+    The rank comes from ``interpolation_rank``; it is the whole matrix's
+    rank at the sampled points (see the module docstring), so the step
+    records the rows, columns and rank of the whole matrix.
     """
     cfg = cfg or PrimeFieldConfig()
     mults = [m for m in mults]

@@ -44,7 +44,7 @@ class TestUsageErrors:
         (["classify", "L(" + "9" * 5000 + ";1)"], 2),
         (["reduce", "--diagram", "(~3,x)", "--mults", "2"], 4),
         (["reduce", "--diagram", "(~3)", "--mults", "2,,1"], 2),
-        (["reduce", "--diagram", "(~3)", "--mults", "2", "--order", "1)"], 1),
+        (["reduce", "--diagram", "(~3)", "--mults", "1)"], 1),
         (["rank", "L(4;2^)"], 6),
         (["rank", "--diagram", "(1, 5)", "--mults", "2"], 4),
         (["rank", "--diagram", "(~3)", "--mults", "a"], 0),
@@ -57,8 +57,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args, message", [
         (["reduce", "--diagram", "(~3)", "--mults", "-1"], "reduce needs mults >= 0"),
-        (["reduce", "--diagram", "(~3)", "--mults", "2", "--order", "2,-1"],
-         "reduce needs mults >= 0"),
+        (["reduce", "--diagram", "(~3)", "--mults", "2,-1"], "reduce needs mults >= 0"),
         (["rank", "--diagram", "(~3)", "--mults", "-2"],
          "rank needs d >= 0 and mults >= 0"),
         (["rank", "--diagram", "(~3)", "--mults", "2,0,-1"],

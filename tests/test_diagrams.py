@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from cells import monomials
 from fatpoints.diagrams import (
     Diagram,
     InvalidLayerError,
@@ -38,9 +39,9 @@ class TestDiagram:
         assert Diagram((1, 0, 2)).layers == (1, 0, 2)
 
     def test_monomials(self):
-        assert triangle(2).monomials() == [(0, 0), (1, 0), (0, 1)]
+        assert monomials(triangle(2)) == [(0, 0), (1, 0), (0, 1)]
         D = diagram(1, 2, 2)
-        assert D.monomials() == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+        assert monomials(D) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
 
     def test_bar(self):
         assert bar(3, 3, 2).layers == (1, 2, 3, 3, 2)
@@ -107,10 +108,6 @@ class TestReduceChain:
         assert not trace.consumed_all
         assert trace.residual_mults == (2, 3)
         assert trace.final == Diagram((1, 1))
-
-    def test_order_override(self):
-        trace = reduce_chain(triangle(5), (2, 3), order=(3, 2))
-        assert [s.m for s in trace.steps] == [3, 2]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

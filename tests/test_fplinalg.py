@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from cells import monomials
 from fatpoints._gauss import (
     PANEL,
     P_LIMIT,
@@ -14,7 +15,6 @@ from fatpoints._gauss import (
 from fatpoints.diagrams import Diagram, diagram, p_of, reduce_chain, triangle
 from fatpoints import fplinalg
 from fatpoints.fplinalg import (
-    FOLD,
     DegeneratePointsError,
     _fold_point_at_one,
     _is_prime,
@@ -95,7 +95,7 @@ def _build_matrix_reference(D, mults, points, p):
         return out
 
     return [[ff(a, al) * ff(b, be) * pow(x, max(a - al, 0), p)
-             * pow(y, max(b - be, 0), p) % p for a, b in D.monomials()]
+             * pow(y, max(b - be, 0), p) % p for a, b in monomials(D)]
             for (x, y), m in zip(points, mults)
             for al in range(m) for be in range(m - al)]
 
@@ -133,7 +133,7 @@ class TestBuildMatrix:
         p = PrimeFieldConfig().p
         # V(triangle(3); point of mult 3) includes row d2/dx2 on x^2: 2
         A = build_matrix(triangle(3), [3], [(2, 3)], p)
-        mon = triangle(3).monomials()
+        mon = monomials(triangle(3))
         col = mon.index((2, 0))
         assert 2 in A[:, col]
 
@@ -427,7 +427,7 @@ class TestDownClosed:
     def test_is_closure_under_division(self):
         # every diagram of at most five layers, against the definition
         def closed(D):
-            cells = set(D.monomials())
+            cells = set(monomials(D))
             return bool(cells) and all(
                 (a - 1, b) in cells for a, b in cells if a) and all(
                 (a, b - 1) in cells for a, b in cells if b)
@@ -493,7 +493,7 @@ class TestInterpolationRank:
         (diagram(1, 2, 3, 4, 4, 3), [3, 1, 3], (1, 11), (1, 5)),
         # k >= n in every slice b < m1: only x^0 y^3 is left
         (diagram(1, 2, 3, 4, 2), [3, 3, 2, 1], (4, 6), (4, 1)),
-        # two slices of 30 degrees from 23: k = 23 > FOLD takes two steps
+        # two slices of 30 degrees from 23: k = 23 and 22 passes
         (Diagram((1,) + (2,) * 52), [23, 23, 2], (3, 60), (3, 15)),
     ])
     def test_slices_short_and_long(self, builds, ranked, D, mults, built, folded):
@@ -538,7 +538,7 @@ class TestInterpolationRank:
         for layers in _all_diagrams(5):
             D = Diagram(layers)
             if D.down_closed:
-                cells = D.monomials()
+                cells = monomials(D)
                 for m0 in range(6):
                     for b in range(5):
                         deg = sorted(a + b for a, bb in cells if bb == b and a + b >= m0)
@@ -547,30 +547,41 @@ class TestInterpolationRank:
             for mults in ([2, 2, 1], [3, 1, 2], [1, 1, 1]):
                 assert interpolation_rank(D, mults, points, P) == _whole_rank(D, mults, points)
 
-    @pytest.mark.parametrize("m1", [FOLD, FOLD + 1, 2 * FOLD + 1])
+    # the fold reduces mod p after every 30 passes: k on either side of
+    # one and of two reductions
+    @pytest.mark.parametrize("m1", [22, 23, 29, 30, 31, 45, 61])
     def test_fold_is_exact_at_the_step_bound(self, m1):
-        # slices b = 0, 1 of 3·FOLD degrees from m0 = 2·FOLD + 1, entries
-        # near p.  The sign of x^(a-k+t) in x^(a-k) (x - 1)^k is that of
-        # (-1)^(k-t), so row 0 keeps only odd a and row 1 only even a: the
-        # terms of one sign vanish, and each sum of the other sign peaks
-        m0 = 2 * FOLD + 1
-        rest = Diagram((0,) * m0 + (2,) * (3 * FOLD))
+        # slices b = 0, 1 of 64 degrees from m0 = 61, entries near p.  The
+        # sign of x^(a-k+t) in x^(a-k) (x - 1)^k is that of (-1)^(k-t), so
+        # row 0 keeps only odd a and row 1 only even a: the terms of one
+        # sign vanish, and each sum of the other sign peaks
+        m0, n = 61, 64
+        rest = Diagram((0,) * m0 + (2,) * n)
         rng = np.random.default_rng(m1)
         A = P - 1 - rng.integers(0, 2**20, size=(3, rest.cells))
-        col = {cell: j for j, cell in enumerate(rest.monomials())}
-        odd = np.array([a % 2 for a, _ in rest.monomials()])
+        col = {cell: j for j, cell in enumerate(monomials(rest))}
+        odd = np.array([a % 2 for a, _ in monomials(rest)])
         A[0] *= odd
         A[1] *= 1 - odd
         pivots, out = _fold_point_at_one(A.copy(), rest, m0, m1, P)
         want = []
         for b in range(2):
-            k, n = m1 - b, 3 * FOLD
+            k = m1 - b
             for d in range(k, n):
                 a = m0 + d - b
                 want.append([sum((-1) ** (k - t) * comb(k, t) * int(A[r, col[(a - k + t, b)]])
                                  for t in range(k + 1)) % P for r in range(3)])
         assert pivots == 2 * m1 - 1
         assert (out % P).T.tolist() == want
+
+    def test_no_point_at_one_leaves_the_matrix(self):
+        # m1 = 0: no pivots, and the built matrix comes back as it is, in
+        # layer order rather than slice by slice
+        rest = Diagram((0, 0, 3, 3, 2))
+        A = np.arange(4 * rest.cells, dtype=np.int64).reshape(4, -1)
+        pivots, out = _fold_point_at_one(A, rest, 2, 0, P)
+        assert pivots == 0 and out is A
+        assert out.tolist() == np.arange(4 * 8).reshape(4, 8).tolist()
 
     def test_not_down_closed_takes_the_whole_matrix(self, builds):
         D = diagram(1, 2, 1, 3)
