@@ -80,7 +80,7 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
                               before=names[0], after=text))
         if cur.degree < 0:
             return _empty(steps + [Step("negative_degree", {}, before=text or str(cur))])
-    if "negative" in cfg.stages and cur.degree >= 0 and any(m < 0 for m in cur.mults):
+    if "negative" in cfg.stages and cur.degree >= 0 and min(cur.mults, default=0) < 0:
         if "standard_form" not in cfg.stages:  # standard form leaves cur sorted
             cur = cur.sorted_desc()
         stripped, fixed = strip_negative_mults(cur)
@@ -105,7 +105,7 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
             return Verdict(INCONCLUSIVE, reason=sub.reason,
                            certificate=tuple(steps) + sub.certificate)
         return sub.prepend(tuple(steps))
-    if any(m < 0 for m in cur.mults) or cur.degree < 0:
+    if cur.degree < 0 or min(cur.mults, default=0) < 0:
         return Verdict(INCONCLUSIVE, reason="unresolved negative entries",
                        certificate=tuple(steps))
     canon = cur.canonical()

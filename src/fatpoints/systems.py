@@ -26,24 +26,35 @@ SIMPLE_POINTS = "SIMPLE_POINTS"
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A degree together with an ordered, signed multiplicity list."""
+    """A degree together with an ordered, signed multiplicity list.
+
+    The constructor coerces the degree and every multiplicity to a Python
+    int, so that numpy integers or arrays given from outside neither leak
+    into dimensions and certificates nor break equality and hashing.  The
+    systems this module derives from another system's own fields
+    (``sorted_desc``, ``canonical``, ``cremona``, the sort steps of
+    ``standard_form`` and ``strip_negative_mults``) skip that coercion
+    through ``_derived``: they are built from Python ints by sorting,
+    filtering and integer arithmetic, which yield Python ints again.
+    """
 
     degree: int
     mults: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", int(self.degree))
         object.__setattr__(self, "mults", tuple(map(int, self.mults)))
 
     # -- canonicalization (always explicit, never implicit) ------------
 
     def sorted_desc(self) -> "LinearSystem":
         """Multiplicities sorted non-increasing; zeros kept."""
-        return LinearSystem(self.degree, tuple(sorted(self.mults, reverse=True)))
+        return _derived(self.degree, tuple(sorted(self.mults, reverse=True)))
 
     def canonical(self) -> "LinearSystem":
         """Sorted non-increasing with all zero multiplicities removed."""
         ms = sorted((m for m in self.mults if m != 0), reverse=True)
-        return LinearSystem(self.degree, tuple(ms))
+        return _derived(self.degree, tuple(ms))
 
     def same_as(self, other: "LinearSystem") -> bool:
         """Equality up to reordering and zero multiplicities."""
@@ -57,6 +68,16 @@ class LinearSystem:
 
     def __str__(self) -> str:
         return format_system(self)
+
+
+def _derived(degree: int, mults: tuple[int, ...]) -> LinearSystem:
+    """LinearSystem(degree, mults) for a Python int and a tuple of Python
+    ints, without the coercion of ``__post_init__`` (see LinearSystem)."""
+    L = object.__new__(LinearSystem)
+    fields = L.__dict__  # written directly: the frozen __setattr__ refuses
+    fields["degree"] = degree
+    fields["mults"] = mults
+    return L
 
 
 def format_system(L: LinearSystem) -> str:
@@ -105,6 +126,8 @@ class Verdict:
         return self.kind in (NON_SPECIAL, EMPTY)
 
     def prepend(self, steps: tuple[Step, ...]) -> "Verdict":
+        if not steps:
+            return self
         return Verdict(self.kind, self.dim, steps + self.certificate,
                        self.axioms_used, self.reason)
 
@@ -145,14 +168,14 @@ def cremona(L: LinearSystem) -> LinearSystem:
     ms = L.mults if len(L.mults) >= 3 else L.mults + (0,) * (3 - len(L.mults))
     m1, m2, m3 = ms[0], ms[1], ms[2]
     k = L.degree - (m1 + m2 + m3)
-    return LinearSystem(L.degree + k, (m1 + k, m2 + k, m3 + k) + ms[3:])
+    return _derived(L.degree + k, (m1 + k, m2 + k, m3 + k) + ms[3:])
 
 
 def is_standard_form(L: LinearSystem) -> bool:
     """True iff d < 0, or mults are non-increasing with d >= m1+m2+m3."""
     if L.degree < 0:
         return True
-    if any(L.mults[i] < L.mults[i + 1] for i in range(len(L.mults) - 1)):
+    if list(L.mults) != sorted(L.mults, reverse=True):
         return False
     return L.degree >= sum(L.mults[:3])
 
@@ -169,7 +192,7 @@ def standard_form(L: LinearSystem) -> tuple[LinearSystem, tuple[LinearSystem, ..
     while True:
         ms = tuple(sorted(cur.mults, reverse=True))
         if ms != cur.mults:
-            cur = LinearSystem(cur.degree, ms)
+            cur = _derived(cur.degree, ms)
             chain.append(cur)
         if cur.degree < 0 or cur.degree >= sum(cur.mults[:3]):
             break
@@ -208,11 +231,11 @@ def strip_negative_mults(L: LinearSystem) -> tuple[LinearSystem, FixedPart]:
     """
     if L.degree < 0:
         raise ValueError("strip_negative_mults needs degree >= 0")
-    if any(L.mults[i] < L.mults[i + 1] for i in range(len(L.mults) - 1)):
+    if list(L.mults) != sorted(L.mults, reverse=True):
         raise ValueError("strip_negative_mults needs non-increasing multiplicities")
     comps = tuple(-m for m in L.mults if m <= -2)
     new = tuple(0 if m < 0 else m for m in L.mults)
-    return LinearSystem(L.degree, new), FixedPart(comps)
+    return _derived(L.degree, new), FixedPart(comps)
 
 
 # ---------------------------------------------------------------------
@@ -234,7 +257,7 @@ def classify_by_axioms(L: LinearSystem) -> Verdict | None:
     A system one of them covers is non-special, hence empty precisely
     when its expected dimension is -1; otherwise the result is None.
     """
-    if L.degree < 0 or not is_standard_form(L) or any(m < 0 for m in L.mults):
+    if L.degree < 0 or not is_standard_form(L) or min(L.mults, default=0) < 0:
         raise ValueError(
             f"axioms apply only to standard-form systems with d >= 0 and "
             f"non-negative multiplicities, got {L}"

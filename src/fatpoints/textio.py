@@ -9,6 +9,13 @@ Item    := INT ("^" COUNT)?
 ignored.  Negative integers are allowed in systems only.  A system or
 diagram has at most MAX_ENTRIES entries; a COUNT or "~a" that would
 exceed it is rejected before anything is allocated.
+
+``parse_system`` reads a well-formed system in one regular-expression
+pass when it has no whitespace, fewer than MAX_ENTRIES items, integers
+and counts of at most 640 digits and at most MAX_ENTRIES entries.  Every
+other text, well-formed or not, goes to the scanner, which is the only
+code that reports a ParseError: both paths give the same system, and
+every message and position comes from one place.
 """
 from __future__ import annotations
 
@@ -33,6 +40,12 @@ _COUNT = re.compile(r"\s*(\d+)")
 _MULT_ITEM = re.compile(r"(\s*)(-?\d+)?(?:\s*\^\s*(\d*))?\s*(,?)")
 _LAYER_ITEM = re.compile(r"(\s*)(\d+)?(?:\s*\^\s*(\d*))?\s*(,?)")
 MAX_ENTRIES = 10_000  # multiplicities of a system, layers of a diagram
+# A system with no whitespace, in one pass: (degree), then (the items).  640
+# digits is the lowest int-string digit limit the interpreter accepts, so
+# int() cannot fail on a match.
+_D = r"\d{1,640}"
+_FLAT_ITEM = rf"-?{_D}(?:\^{_D})?"
+_FLAT_SYSTEM = re.compile(rf"L\((-?{_D});((?:{_FLAT_ITEM},)*{_FLAT_ITEM})?\)")
 
 
 def _int(text: str, pos: int, digits: str) -> int:
@@ -112,7 +125,28 @@ def _items(sc: _Scanner, layers: bool, out: list[int]) -> None:
             return
 
 
+def _flat_mults(items: str) -> tuple[int, ...] | None:
+    """The entries of a MultList that _FLAT_SYSTEM matched, or None when
+    they would pass MAX_ENTRIES (the scanner then reports where)."""
+    mults: list[int] = []
+    for item in items.split(","):
+        value, hat, count = item.partition("^")
+        n = int(count) if hat else 1
+        if len(mults) + n > MAX_ENTRIES:
+            return None
+        mults.extend([int(value)] * n)
+    return tuple(mults)
+
+
 def parse_system(text: str) -> LinearSystem:
+    # Fewer commas than MAX_ENTRIES bound the match's work, like the
+    # scanner's, and the number of items split off.
+    m = _FLAT_SYSTEM.fullmatch(text) if text.count(",") < MAX_ENTRIES else None
+    if m is not None:
+        degree, items = m.groups()
+        flat = _flat_mults(items) if items else ()
+        if flat is not None:
+            return LinearSystem(int(degree), flat)
     sc = _Scanner(text)
     sc.expect("L(")
     d = sc.integer()

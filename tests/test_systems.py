@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
+from fatpoints.engine import classify
 from fatpoints.systems import (
     EMPTY,
     MINUS_ONE_SPECIAL,
@@ -240,4 +242,41 @@ class TestAgainstIndexScans:
     def test_entries_are_coerced_to_int(self):
         x = LinearSystem(np.int64(7), np.array([3, 0, -2], dtype=np.int64))
         assert x.mults == (3, 0, -2) and all(type(m) is int for m in x.mults)
+        assert type(x.degree) is int
         assert format_system(x) == "L(7;3,0,-2)"
+        v = classify(LinearSystem(np.int64(7), np.array([3, 2])))
+        assert v.dim == 26 and type(v.dim) is int
+        assert json.dumps([v.dim, v.certificate[-1].params]) == \
+            '[26, {"axioms": ["POINTS_LE_9"], "edim": 26}]'
+
+
+class TestDerivedSystems:
+    """The systems derived from another system's fields skip the public
+    coercion; from numpy input they still hold Python ints and compare and
+    hash like the systems the public constructor builds."""
+
+    X = LinearSystem(np.int64(10), np.array([3, 0, 7, -2, 5, 0, 5], dtype=np.int64))
+
+    def assert_public(self, got: LinearSystem, degree: int, mults) -> None:
+        want = LinearSystem(degree, tuple(mults))
+        assert type(got.degree) is int and all(type(m) is int for m in got.mults)
+        assert got == want and hash(got) == hash(want)
+
+    def test_sorted_canonical_cremona_strip(self):
+        srt = self.X.sorted_desc()
+        self.assert_public(srt, 10, [7, 5, 5, 3, 0, 0, -2])
+        self.assert_public(self.X.canonical(), 10, [7, 5, 5, 3, -2])
+        self.assert_public(cremona(srt), 3, [0, -2, -2, 3, 0, 0, -2])
+        self.assert_public(cremona(LinearSystem(np.int64(5), np.array([7]))),
+                           3, [5, -2, -2])
+        stripped, fixed = strip_negative_mults(srt)
+        self.assert_public(stripped, 10, [7, 5, 5, 3, 0, 0, 0])
+        assert fixed.components == (2,)
+
+    def test_standard_form_chain(self):
+        res, chain = standard_form(LinearSystem(np.int64(30), np.array([13] + [9] * 9)))
+        _, plain = standard_form(L(30, 13, *[9] * 9))
+        assert len(chain) == len(plain) > 2
+        for got, want in zip(chain, plain):
+            self.assert_public(got, want.degree, want.mults)
+        assert res is chain[-1]

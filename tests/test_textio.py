@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -40,6 +41,34 @@ class TestParseSystem:
         for bad in ["L(32;12,", "32;12", "L(32)", "L(32;12)x", "L(32;^3)"]:
             with pytest.raises(ParseError):
                 parse_system(bad)
+
+    def test_flat_and_spaced_texts_agree(self):
+        """A text without whitespace takes the one-pass path; the same text
+        spaced out goes to the scanner.  Both give the generated system."""
+        rng = random.Random(12)
+
+        def gap():
+            return rng.choice(["", " ", "\t", "\n "])
+
+        for _ in range(2000):
+            d = rng.randint(-20, 60)
+            items, mults = [], []
+            for _ in range(rng.choice([0, 1, 3, 9, 30])):
+                v, n = rng.randint(-3, 12), rng.choice([1, 1, 1, 0, 2, 5])
+                if n == 1 and rng.random() < 0.7:
+                    items.append(f"{v}")
+                else:  # a run, also of length 0 or 1
+                    items.append(f"{v}^{n:0{rng.randint(1, 3)}d}")
+                mults += [v] * n
+            flat = f"L({d};{','.join(items)})"
+            spaced = (" L(" + gap() + str(d) + gap() + ";"
+                      + ",".join(gap() + x.replace("^", gap() + "^" + gap()) + gap()
+                                 for x in items) + ")" + gap())
+            want = LinearSystem(d, tuple(mults))
+            got = parse_system(flat)
+            assert got == want, flat
+            assert type(got.degree) is int and all(type(m) is int for m in got.mults)
+            assert parse_system(spaced) == want, spaced
 
     def test_round_trip(self):
         for text in ["L(32;12,8^12)", "L(4;4)", "L(0;2^3,1,-1^3,-2,-4)",
@@ -83,6 +112,8 @@ class TestEntryBound:
     @pytest.mark.parametrize("parse, text, pos", [
         (parse_system, "L(1;1^99999999999)", 6),
         (parse_system, "L(1;2^5000, 1 ^ 5001)", 16),
+        (parse_system, "L(1;2^5000,1^5001)", 13),
+        (parse_system, "L(1;1^10001)", 6),
         (parse_diagram, "(~99999999999)", 2),
         (parse_diagram, "(~5000,3^5001)", 9),
     ])
@@ -107,6 +138,8 @@ class TestIntegerLength:
     @pytest.mark.parametrize("parse, text, pos", [
         (parse_system, "L(" + "9" * 5000 + ";1)", 2),
         (parse_system, "L(3; 2^" + "9" * 5000 + ")", 7),
+        (parse_system, "L(3;2^" + "9" * 5000 + ")", 6),
+        (parse_system, "L(3;1,-" + "9" * 5000 + ")", 6),
         (parse_diagram, "(~" + "9" * 5000 + ")", 2),
         (parse_mults, "1, -" + "9" * 5000, 3),
     ])
