@@ -60,10 +60,14 @@ the cells with b >= m1, which p1's rows do not touch.  When there is
 no other point, or the first heaviest one lies on p0's vertical line
 (dx = 0), m1 = 0 and nothing is folded.
 
-The fold is k passes of a first difference in int64: multiplying by
-x - 1 replaces the column of x^a y^b by it minus that of x^(a-1) y^b.
-A pass at most doubles the largest |entry|, so reducing mod p once
-every 30 passes keeps every entry below 2^30·p < 2^61.
+The fold happens in the per-point tables, before the product.  Row
+(j, alpha, beta) of the column of x^a y^b is X_j[alpha, a]·Y_j[beta, b],
+with X_j[alpha, a] = a!/(a-alpha)!·x_j^(a-alpha) and Y_j likewise in y.
+Multiplying by x - 1 takes a first backward difference in a, so the
+column of x^(a-k) (x - 1)^k y^b is (Delta^k X_j)[alpha, a]·Y_j[beta, b].
+``build_matrix`` with ``fold`` = m1 takes k <= m1 differences of the
+small x-table, reducing mod p after each, and gathers each kept column
+from the k-th one: one pass builds the folded matrix.
 
 numpy and the kernel are imported inside ``build_matrix``, ``rank`` and
 ``task_rng``, so they load at the first matrix, not with the package.
@@ -194,29 +198,39 @@ def _check_points(mults: list, points: list, p: int) -> None:
     _check_modulus(p)
 
 
-def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarray:
+def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
+                 fold: int = 0) -> np.ndarray:
     """Dense interpolation matrix of V(D; mults) at the given points.
 
     Row (point j, derivative (alpha, beta)) and column (monomial x^a y^b)
     hold the falling-factorial coefficient a!/(a-alpha)! * b!/(b-beta)!
     times x^(a-alpha) y^(b-beta), taken as zero when alpha > a or
-    beta > b; all arithmetic is mod p.
+    beta > b; all arithmetic is mod p.  The columns go layer by layer.
+
+    ``fold`` = m1 > 0 gives instead the matrix left after a point of
+    multiplicity m1 at (1, 0) is folded out (see the module docstring).
+    D must start with m0 >= m1 empty layers (m0 counts them all).  Slice
+    by slice, b = 0, 1, ..., each cell x^a y^b of D with a + b >= m0 + k,
+    k = max(m1 - b, 0), gives the column of x^(a-k) (x - 1)^k y^b.
     """
     import numpy as np
 
     mults = list(mults)
     points = list(points)
     _check_points(mults, points, p)
-    n = D.cells
+    if any(D.layers[:fold]):
+        raise ValueError(f"fold={fold} needs the first {fold} layers of D empty")
+    # the cells x^(m0+i-b) y^b, b < c_i, past D's m0 leading empty layers
+    m0 = next((j for j, c in enumerate(D.layers) if c), 0)
+    c = np.array(D.layers[m0:], dtype=np.int64)
+    b = np.arange(max(D.layers, default=0))[:, None]
+    kept = (b < c) & (np.arange(len(c)) >= fold - b)
+    eb, ei = np.nonzero(kept) if fold else np.nonzero(kept.T)[::-1]
+    ea = m0 + ei - eb
+    n = len(ea)
     rows = sum(comb(m + 1, 2) for m in mults)
     if n == 0 or rows == 0:
         return np.zeros((rows, n), dtype=np.int64)
-    # the cells of D, layer by layer: x^(i-b) y^b for b < c, the i-th
-    # layer (from 0) of size c
-    layers = np.array(D.layers, dtype=np.int64)
-    start = np.cumsum(layers) - layers
-    eb = np.arange(n, dtype=np.int64) - np.repeat(start, layers)
-    ea = np.repeat(np.arange(len(layers), dtype=np.int64), layers) - eb
     mmax = max(mults)
     # exponents reach nlayers - 1 and derivative orders mmax - 1, even on
     # low-degree diagrams
@@ -235,17 +249,27 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> np.ndarra
         PW[:, :, s:2 * s] = PW[:, :, :min(s, w - s)] * xs[:, :, None] % p
         xs = xs * xs % p
         s *= 2
-    # per-point tables XY[0][j·mmax + alpha, a] = FF[alpha, a] x_j^(a-alpha)
-    # and XY[1][j·mmax + beta, b] = FF[beta, b] y_j^(b-beta); where
-    # alpha > a the FF factor is 0, so the clipped power index is harmless
-    shift = np.maximum(top - top[:mmax, None], 0)
-    XY = (FF * PW[:, :, shift] % p).reshape(2, -1, w)
+    # per-point tables X[o_j + alpha, a] = FF[alpha, a] x_j^(a-alpha) and
+    # Y[o_j + beta, b] = FF[beta, b] y_j^(b-beta) for alpha, beta < m_j,
+    # o_j = m_1 + ... + m_(j-1); where alpha > a the FF factor is 0, so
+    # the clipped power index is harmless
+    point = np.repeat(np.arange(len(mults)), mults)[:, None]
+    order = np.concatenate([top[:m] for m in mults])
+    X, Y = FF[order] * PW[:, point, np.maximum(top - order[:, None], 0)] % p
     # one row per (point j, alpha, beta) with alpha + beta < m_j, in order
     orders = {m: np.nonzero(np.add.outer(top[:m], top[:m]) < m) for m in set(mults)}
-    pt = np.repeat(np.arange(len(mults)) * mmax, [comb(m + 1, 2) for m in mults])
+    pt = np.repeat(np.cumsum(mults) - mults, [comb(m + 1, 2) for m in mults])
     al = np.concatenate([orders[m][0] for m in mults])
     be = np.concatenate([orders[m][1] for m in mults])
-    A = XY[0, pt + al][:, ea] * XY[1, pt + be][:, eb]
+    # the columns of slice b = m1 - k come from the k-th differences of X
+    G = X[:, ea]
+    for k in range(1, fold + 1):
+        X[:, 1:] -= X[:, :-1]
+        X %= p
+        at = eb == fold - k
+        G[:, at] = X[:, ea[at]]
+    A = G[pt + al]
+    A *= Y[:, eb][pt + be]
     A -= A // p * p  # cheaper than % on a block
     return A
 
@@ -258,48 +282,6 @@ def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
 
     _check_modulus(p)
     return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
-
-
-def _fold_point_at_one(A: np.ndarray, rest: Diagram, m0: int, m1: int,
-                       p: int) -> tuple[int, np.ndarray]:
-    """Fold the block of a point of multiplicity m1 at (1, 0) out of A.
-
-    A holds the other points' rows, reduced mod p, on the cells of
-    ``rest``: a down-closed diagram without its first m0 >= m1 layers,
-    so its slice x^a y^b, b < m0, holds the n_b degrees from m0 on (see
-    the module docstring).  Returns the pivots of that point, the sum
-    over b of min(k_b, n_b) with k_b = max(m1 - b, 0), and the columns
-    left, slice by slice: the last n_b - k_b cells x^a y^b of each slice,
-    each as the column of x^(a-k_b) (x - 1)^(k_b) y^b.  Those entries
-    are integers below 2^61 in absolute value, not reduced mod p.  With
-    m1 = 0, A itself is returned.  Rows go CHUNK at a time, so no
-    temporary grows with the row count.
-    """
-    import numpy as np
-
-    from ._gauss import CHUNK
-
-    c = np.array(rest.layers[m0:], dtype=np.int64)
-    if not (m1 and len(c)):
-        return 0, A
-    # grid[b, i]: the column of x^(m0+i-b) y^b, or any column where there is none
-    b = np.arange(c.max())[:, None]
-    cell = b < c
-    grid = np.where(cell, np.cumsum(c) - c + b, 0)
-    kept = cell & (np.arange(len(c)) >= m1 - b)
-    out = np.empty((len(A), int(kept.sum())), dtype=np.int64)
-    for i in range(0, len(A), CHUNK):
-        S = A[i:i + CHUNK].T[grid]
-        # pass t replaces positions > t of the slices with k_b > t, those
-        # with b < m1 - t, by their first differences; positions <= t are
-        # pivots or no longer read, and a slice's filler positions past
-        # n_b are read only by later ones
-        for t in range(m1):
-            S[:m1 - t, t + 1:] -= S[:m1 - t, t:-1]
-            if t % 30 == 29:
-                S %= p
-        out[i:i + CHUNK] = S.transpose(2, 0, 1)[:, kept]
-    return rest.cells - out.shape[1], out
 
 
 def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int:
@@ -331,8 +313,9 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
         u = pow(dx, -1, p)
         v = dy * u % p
     points = [(x * u % p, (y - v * x) % p) for x, y in points]
-    pivots, A = _fold_point_at_one(build_matrix(rest, mults, points, p), rest, m0, m1, p)
-    return fixed + pivots + rank(A, p)
+    A = build_matrix(rest, mults, points, p, fold=m1)
+    # each cell the fold leaves out holds one pivot of the point at (1, 0)
+    return fixed + rest.cells - A.shape[1] + rank(A, p)
 
 
 def certify_nonspecial_rank(

@@ -10,6 +10,7 @@ final classification, and the glueing bookkeeping.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 # Verdict kinds
@@ -98,12 +99,20 @@ def format_system(L: LinearSystem) -> str:
 
 @dataclass(frozen=True)
 class Step:
-    """One replayable derivation step: an operation with its parameters."""
+    """One replayable derivation step: an operation with its parameters.
+
+    The params dict is hashed through its sorted JSON text, so steps, and
+    the verdicts holding them, hash like they compare.
+    """
 
     op: str
     params: dict = field(default_factory=dict)
     before: str | None = None
     after: str | None = None
+
+    def __hash__(self) -> int:
+        return hash((self.op, json.dumps(self.params, sort_keys=True),
+                     self.before, self.after))
 
 
 @dataclass(frozen=True)

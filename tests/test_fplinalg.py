@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -16,7 +17,6 @@ from fatpoints.diagrams import Diagram, diagram, p_of, reduce_chain, triangle
 from fatpoints import fplinalg
 from fatpoints.fplinalg import (
     DegeneratePointsError,
-    _fold_point_at_one,
     _is_prime,
     PrimeFieldConfig,
     build_matrix,
@@ -86,16 +86,26 @@ class TestSampling:
         assert len({y for _, y in pts}) == 50
 
 
-def _build_matrix_reference(D, mults, points, p):
-    """build_matrix entry by entry with Python ints."""
+def _build_matrix_reference(D, mults, points, p, fold=0):
+    """build_matrix entry by entry with Python ints.  With fold = m1,
+    slice by slice, the kept cell x^a y^b of k = max(m1 - b, 0) becomes
+    x^(a-k) (x - 1)^k y^b: sum_t (-1)^(k-t) C(k,t) x^(a-k+t) y^b."""
     def ff(a, k):  # a (a-1) ... (a-k+1), zero when k > a
         out = 1
         for i in range(k):
             out *= a - i
         return out
 
-    return [[ff(a, al) * ff(b, be) * pow(x, max(a - al, 0), p)
-             * pow(y, max(b - be, 0), p) % p for a, b in monomials(D)]
+    def entry(a, b, x, y, al, be):
+        return ff(a, al) * ff(b, be) * pow(x, max(a - al, 0), p) * pow(y, max(b - be, 0), p)
+
+    cells = [(a, b, 0) for a, b in monomials(D)]
+    if fold:
+        m0 = next((j for j, c in enumerate(D.layers) if c), 0)
+        cells = sorted(((a, b, max(fold - b, 0)) for a, b in monomials(D)
+                        if a + b >= m0 + max(fold - b, 0)), key=lambda c: (c[1], c[0]))
+    return [[sum((-1) ** (k - t) * comb(k, t) * entry(a - k + t, b, x, y, al, be)
+                 for t in range(k + 1)) % p for a, b, k in cells]
             for (x, y), m in zip(points, mults)
             for al in range(m) for be in range(m - al)]
 
@@ -144,6 +154,53 @@ class TestBuildMatrix:
     def test_rejects_mult_zero(self):
         with pytest.raises(ValueError):
             build_matrix(triangle(2), [0], [(5, 7)])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fold_matches_entrywise_reference(self, seed):
+        # a random down-closed diagram without its first m0 layers, as
+        # interpolation_rank folds it, at random points
+        rng = np.random.default_rng(seed)
+        D = _random_down_closed(rng, int(rng.integers(4, 14)))
+        m0 = int(rng.integers(1, max(D.nlayers, 2)))
+        rest = Diagram((0,) * m0 + D.layers[m0:])
+        fold = int(rng.integers(1, m0 + 1))
+        mults = [int(m) for m in rng.integers(1, fold + 1, size=int(rng.integers(1, 4)))]
+        points = sample_points(len(mults), P, rng)
+        A = build_matrix(rest, mults, points, P, fold=fold)
+        assert A.tolist() == _build_matrix_reference(rest, mults, points, P, fold)
+
+    # two slices of 64 degrees from 61: k from 22 to 61 differences
+    @pytest.mark.parametrize("m1", [22, 23, 29, 30, 31, 45, 61])
+    def test_fold_on_long_slices(self, m1):
+        rest = Diagram((0,) * 61 + (2,) * 64)
+        mults = [3, 1, 2]
+        points = sample_points(3, P, np.random.default_rng(m1))
+        A = build_matrix(rest, mults, points, P, fold=m1)
+        assert A.shape == (10, 2 * 64 - (2 * m1 - 1))
+        assert A.tolist() == _build_matrix_reference(rest, mults, points, P, m1)
+
+    def test_rejects_fold_over_a_nonempty_layer(self):
+        with pytest.raises(ValueError, match="fold=3"):
+            build_matrix(Diagram((0, 0, 3, 4)), [1], [(5, 7)], fold=3)
+        assert build_matrix(Diagram((0, 0, 3, 4)), [1], [(5, 7)], fold=2).shape == (1, 4)
+        assert build_matrix(Diagram(()), [1], [(5, 7)], fold=2).shape == (1, 0)
+
+    @pytest.mark.parametrize("fold", [0, 10])
+    def test_peak_memory_about_two_matrices(self, fold):
+        # L(37; 12, 10^12), whole and as interpolation_rank builds it: the
+        # output and one full-size factor, not a third copy
+        D, mults = triangle(38), [12] + [10] * 12
+        points = sample_points(len(mults), P, np.random.default_rng(0))
+        if fold:
+            D, mults, points = Diagram((0,) * 12 + D.layers[12:]), mults[2:], points[2:]
+        build_matrix(D, mults, points, P, fold=fold)  # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            A = build_matrix(D, mults, points, P, fold=fold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * A.nbytes
 
 
 class TestRank:
@@ -376,8 +433,8 @@ def builds(monkeypatch):
     """Record (diagram, mults, points, shape) of every build_matrix call."""
     seen = []
 
-    def recording(D, mults, points, p):
-        A = build_matrix(D, mults, points, p)
+    def recording(D, mults, points, p, fold=0):
+        A = build_matrix(D, mults, points, p, fold=fold)
         seen.append((D, list(mults), list(points), A.shape))
         return A
 
@@ -459,18 +516,18 @@ class TestInterpolationRank:
             assert interpolation_rank(D, mults, points, P) == _whole_rank(D, mults, points)
 
     @pytest.mark.parametrize("D, mults, shape", [
-        (triangle(5), [2, 3, 3, 1], (4, 9)),  # a tie: the first 3 goes
+        (triangle(5), [2, 3, 3, 1], (4, 4)),  # a tie: the first 3 goes
         (triangle(3), [5, 1], (0, 0)),  # m >= nlayers
-        (diagram(1, 2, 2, 2), [3, 1], (0, 2)),  # no triangle(3) inside D
+        (diagram(1, 2, 2, 2), [3, 1], (0, 1)),  # no triangle(3) inside D
         (triangle(4), [2], (0, 7)),  # a single point: no row left
         (triangle(3), [4, 2], (0, 0)),  # the diagram emptied: no column left
-        (triangle(5), [2] * 5, (9, 12)),  # L(4; 2^5): deficient
+        (triangle(5), [2] * 5, (9, 9)),  # L(4; 2^5): deficient
     ])
-    def test_edge_cases(self, builds, D, mults, shape):
+    def test_edge_cases(self, builds, ranked, D, mults, shape):
         points = [(3 + 5 * k, 11 + 7 * k) for k in range(len(mults))]
         got = interpolation_rank(D, mults, points, P)
         ((_, ms, _, built),) = builds
-        assert built == shape
+        assert [built] == ranked == [shape]
         # distinct x coordinates: two points move, or the only one
         assert len(ms) == max(len(mults) - 2, 0)
         assert got == _whole_rank(D, mults, points)
@@ -485,6 +542,8 @@ class TestInterpolationRank:
         u = pow(20, -1, P)
         assert moved == [(-7 * u % P, (-16 + 30 * u * 7) % P)]
 
+    # built: the rows, and the cells of the diagram that build_matrix
+    # gets; folded: the shape it builds, which rank gets
     @pytest.mark.parametrize("D, mults, built, folded", [
         # m1 = 2 < m0 = 4: slices b = 0, 1 of degrees 4..7 keep 2 and 3 cells
         (triangle(8), [4, 2, 1, 1], (2, 26), (2, 23)),
@@ -493,15 +552,16 @@ class TestInterpolationRank:
         (diagram(1, 2, 3, 4, 4, 3), [3, 1, 3], (1, 11), (1, 5)),
         # k >= n in every slice b < m1: only x^0 y^3 is left
         (diagram(1, 2, 3, 4, 2), [3, 3, 2, 1], (4, 6), (4, 1)),
-        # two slices of 30 degrees from 23: k = 23 and 22 passes
+        # two slices of 30 degrees from 23: k = 23 and 22 differences
         (Diagram((1,) + (2,) * 52), [23, 23, 2], (3, 60), (3, 15)),
     ])
     def test_slices_short_and_long(self, builds, ranked, D, mults, built, folded):
         rng = np.random.default_rng(len(mults))
         points = sample_points(len(mults), P, rng)
         got = interpolation_rank(D, mults, points, P)
-        assert [b[3] for b in builds] == [built]
-        assert ranked == [folded]
+        ((rest, _, _, shape),) = builds
+        assert [shape] == ranked == [folded]
+        assert (shape[0], rest.cells) == built
         assert got == _whole_rank(D, mults, points)
 
     def test_points_collinear_with_the_first_two_land_on_y_0(self, builds):
@@ -547,41 +607,13 @@ class TestInterpolationRank:
             for mults in ([2, 2, 1], [3, 1, 2], [1, 1, 1]):
                 assert interpolation_rank(D, mults, points, P) == _whole_rank(D, mults, points)
 
-    # the fold reduces mod p after every 30 passes: k on either side of
-    # one and of two reductions
-    @pytest.mark.parametrize("m1", [22, 23, 29, 30, 31, 45, 61])
-    def test_fold_is_exact_at_the_step_bound(self, m1):
-        # slices b = 0, 1 of 64 degrees from m0 = 61, entries near p.  The
-        # sign of x^(a-k+t) in x^(a-k) (x - 1)^k is that of (-1)^(k-t), so
-        # row 0 keeps only odd a and row 1 only even a: the terms of one
-        # sign vanish, and each sum of the other sign peaks
-        m0, n = 61, 64
-        rest = Diagram((0,) * m0 + (2,) * n)
-        rng = np.random.default_rng(m1)
-        A = P - 1 - rng.integers(0, 2**20, size=(3, rest.cells))
-        col = {cell: j for j, cell in enumerate(monomials(rest))}
-        odd = np.array([a % 2 for a, _ in monomials(rest)])
-        A[0] *= odd
-        A[1] *= 1 - odd
-        pivots, out = _fold_point_at_one(A.copy(), rest, m0, m1, P)
-        want = []
-        for b in range(2):
-            k = m1 - b
-            for d in range(k, n):
-                a = m0 + d - b
-                want.append([sum((-1) ** (k - t) * comb(k, t) * int(A[r, col[(a - k + t, b)]])
-                                 for t in range(k + 1)) % P for r in range(3)])
-        assert pivots == 2 * m1 - 1
-        assert (out % P).T.tolist() == want
-
     def test_no_point_at_one_leaves_the_matrix(self):
-        # m1 = 0: no pivots, and the built matrix comes back as it is, in
-        # layer order rather than slice by slice
+        # fold = 0 on a diagram without its first layers: the plain
+        # matrix, in layer order rather than slice by slice
         rest = Diagram((0, 0, 3, 3, 2))
-        A = np.arange(4 * rest.cells, dtype=np.int64).reshape(4, -1)
-        pivots, out = _fold_point_at_one(A, rest, 2, 0, P)
-        assert pivots == 0 and out is A
-        assert out.tolist() == np.arange(4 * 8).reshape(4, 8).tolist()
+        points = [(3, 4), (10, 20)]
+        A = build_matrix(rest, [2, 1], points, P)
+        assert A.tolist() == _build_matrix_reference(rest, [2, 1], points, P)
 
     def test_not_down_closed_takes_the_whole_matrix(self, builds):
         D = diagram(1, 2, 1, 3)

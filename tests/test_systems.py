@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from fatpoints.engine import classify
+from fatpoints.textio import parse_system
 from fatpoints.systems import (
     EMPTY,
     MINUS_ONE_SPECIAL,
     NON_SPECIAL,
     GlueError,
     LinearSystem,
+    Step,
     Verdict,
     classify_by_axioms,
     cremona,
@@ -280,3 +282,19 @@ class TestDerivedSystems:
         for got, want in zip(chain, plain):
             self.assert_public(got, want.degree, want.mults)
         assert res is chain[-1]
+
+
+class TestVerdictHash:
+    def test_equal_verdicts_hash_equal(self):
+        a = classify(parse_system("L(13;5,4^9)"))
+        b = classify(parse_system("L(13;5,4^9)"))
+        assert a.certificate[0].params and a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, classify(parse_system("L(10;4^4)"))}) == 2
+
+    def test_params_hash_in_any_key_order(self):
+        one = Step("rank", {"rows": 3, "cols": 4}, before="D")
+        two = Step("rank", {"cols": 4, "rows": 3}, before="D")
+        assert one == two and hash(one) == hash(two)
+        assert repr(one) == ("Step(op='rank', params={'rows': 3, 'cols': 4}, "
+                             "before='D', after=None)")
