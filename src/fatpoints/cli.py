@@ -115,12 +115,12 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
                  attempts: int, max_cols: int,
                  stages_text: str | None) -> None:
     """Classify SYSTEM as NonSpecial / Empty / MinusOneSpecial."""
-    from .engine import ALL_STAGES
-
-    stages = tuple(stages_text.split(",")) if stages_text else ALL_STAGES
-    unknown = set(stages) - set(ALL_STAGES)
-    if unknown:
-        raise click.UsageError(f"unknown stages: {','.join(sorted(unknown))}")
+    stages = tuple(stages_text.split(",")) if stages_text else DEFAULT_CONFIG.stages
+    try:
+        cfg = EngineConfig(field_cfg=_field(p=prime, seed=seed, attempts=attempts),
+                           max_cols=max_cols, stages=stages)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from None
     L = _parse(parse_system, system)
     canonical = str(L.canonical())
     key = record_key(
@@ -131,11 +131,6 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
     record = cache.get(key)
     cached = record is not None
     if record is None:
-        cfg = EngineConfig(
-            field_cfg=_field(p=prime, seed=seed, attempts=attempts),
-            max_cols=max_cols,
-            stages=stages,
-        )
         v = classify(L, cfg)
         record = {
             "input": canonical,

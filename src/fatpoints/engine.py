@@ -46,7 +46,8 @@ _MAX_DEPTH = 200
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Rank field, column cap and enabled stages of a classification.
+    """Rank field, column cap and enabled stages of a classification;
+    a stage name outside ``ALL_STAGES`` is a ValueError.
 
     ``DEFAULT_CONFIG`` is the one instance every call without a config
     shares; it is immutable, like every EngineConfig and PrimeFieldConfig.
@@ -55,6 +56,11 @@ class EngineConfig:
     field_cfg: PrimeFieldConfig = field(default_factory=PrimeFieldConfig)
     max_cols: int = 2000
     stages: tuple[str, ...] = ALL_STAGES
+
+    def __post_init__(self) -> None:
+        unknown = set(self.stages) - set(ALL_STAGES)
+        if unknown:
+            raise ValueError(f"unknown stages: {','.join(sorted(unknown))}")
 
 
 DEFAULT_CONFIG = EngineConfig()

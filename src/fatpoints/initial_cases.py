@@ -10,11 +10,12 @@ For parameters (m, a, k) the family is either
 Diagrams that cannot arise as reductions of a source diagram
 (~a, {a}^l) are discarded by the throwout inequality
 ``x + (x - y + sy - sx) m >= sx`` applied to consecutive tail layers
-(x, y) with y > 0 and source layers (sx, sy).  For every surviving D the
-spaces V(D; m^p(D)) and V(D; m^(p(D)+1)) are certified non-special, with
-an s-level batching trick: reduce every diagram s times, certify the few
-distinct reduced diagrams by rank, and recurse on the remainder with
-s - 1.
+(x, y) with y > 0 and source layers (sx, sy); it prunes the tails while
+they are enumerated, so no discarded tail is ever built.  For every
+surviving D the spaces V(D; m^p(D)) and V(D; m^(p(D)+1)) are certified
+non-special, with an s-level batching trick: reduce every diagram s
+times, certify the few distinct reduced diagrams by rank, and recurse on
+the remainder with s - 1.
 """
 from __future__ import annotations
 
@@ -73,8 +74,17 @@ def _successors(spec: FamilySpec, pos: int, x: int) -> range:
     return range(x + 2 if _star_ok(spec, pos, x, x + 1) else x + 1)
 
 
+def _kept(spec: FamilySpec, pos: int, x: int) -> list[int]:
+    """Successors y of x at tail position pos whose pair (x, y) passes the
+    throwout inequality.  At position 0 (x = a) every pair passes:
+    a + (a - y) m >= a for k > 0, and y <= a + 1 for k = 0."""
+    return [y for y in _successors(spec, pos, x) if _star_ok(spec, pos, x, y)]
+
+
 def tails(spec: FamilySpec) -> Iterator[tuple[int, ...]]:
-    """All tails (a1,...,a_{m-1}) of the family, in lexicographic order."""
+    """The tails (a1,...,a_{m-1}) that pass the throwout inequality, in
+    lexicographic order.  A prefix grows only by kept successors, so a
+    failing pair prunes its whole subtree."""
     n = spec.m - 1
 
     def rec(prefix: list[int], x: int) -> Iterator[tuple[int, ...]]:
@@ -82,7 +92,7 @@ def tails(spec: FamilySpec) -> Iterator[tuple[int, ...]]:
         if pos == n:
             yield tuple(prefix)
             return
-        for y in _successors(spec, pos, x):
+        for y in _kept(spec, pos, x):
             yield from rec(prefix + [y], y)
 
     yield from rec([], spec.a)
@@ -92,39 +102,25 @@ def tail_diagram(spec: FamilySpec, tail: tuple[int, ...]) -> Diagram:
     return bar(spec.a, *(([spec.a] * spec.k) + list(tail)))
 
 
-def throwout_tail(spec: FamilySpec, tail: tuple[int, ...]) -> bool:
-    """Keep iff every consecutive tail pair satisfies the throwout
-    inequality (pairs against the repeated source prefix hold trivially)."""
-    return all(
-        _star_ok(spec, pos + 1, tail[pos], tail[pos + 1])
-        for pos in range(len(tail) - 1)
-    )
-
-
-def _count(spec: FamilySpec, with_throwout: bool) -> int:
-    """Count tails by dynamic programming over (position, last value).
-
-    The throwout inequality holds for every first value, so checking it
-    on the pair against the source layer as well changes no count.
-    """
+def _count(spec: FamilySpec, step) -> int:
+    """Count the tails that `step` (a successor rule) generates, by
+    dynamic programming over (position, last value)."""
     counts = {spec.a: 1}
     for pos in range(spec.m - 1):
         nxt: dict[int, int] = {}
         for x, c in counts.items():
-            for y in _successors(spec, pos, x):
-                if with_throwout and not _star_ok(spec, pos, x, y):
-                    continue
+            for y in step(spec, pos, x):
                 nxt[y] = nxt.get(y, 0) + c
         counts = nxt
     return sum(counts.values())
 
 
 def count_family(spec: FamilySpec) -> int:
-    return _count(spec, with_throwout=False)
+    return _count(spec, _successors)
 
 
 def count_surviving(spec: FamilySpec) -> int:
-    return _count(spec, with_throwout=True)
+    return _count(spec, _kept)
 
 
 def max_diagram(spec: FamilySpec) -> Diagram:
@@ -259,9 +255,7 @@ def run_initial_cases(
         report.wall_time = time.perf_counter() - t0
         return report
 
-    pending = [
-        tail_diagram(spec, t) for t in tails(spec) if throwout_tail(spec, t)
-    ]
+    pending = [tail_diagram(spec, t) for t in tails(spec)]
     assert len(pending) == surviving
     workers = min(jobs, _available_cpus())
     pool = None

@@ -80,7 +80,8 @@ def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
     unknown = sorted(set(rec) - set(_FIELD_OF))
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    missing = [key for key in ("id", "anchor") if key not in rec]
+    required = ("id", "anchor") + (() if "system" in rec else ("tail", "k", "r"))
+    missing = [key for key in required if key not in rec]
     if missing:
         raise ValueError(f"{where}: missing {', '.join(missing)}")
     entry = LedgerEntry(index=index, **{_FIELD_OF[k]: v for k, v in rec.items()})
@@ -359,11 +360,6 @@ def _run_instance(entry: LedgerEntry, L: LinearSystem, params: dict,
                 max_glues=entry.max_glues,
             )
             verdict = _map_to_original(L, ex)
-            if not verdict.conclusive and entry.expect == "auto":
-                direct = classify(L, cfg)
-                if direct.conclusive:
-                    verdict = direct
-                    ex = Execution(verdict=direct, chain=[L], glue_steps=[])
     except (AssertionError, ValueError) as exc:
         return InstanceResult(system=str(L), params=params, ok=False,
                               kind="error", note=str(exc))

@@ -135,7 +135,7 @@ class TestClassify:
 
     def test_unknown_stage(self):
         r = run("classify", "--stages", "nosuch", "L(4;4)")
-        assert r.exit_code != 0
+        assert r.exit_code == 2 and "unknown stages: nosuch" in r.output
 
     def test_inconclusive_exit_code(self):
         r = run("classify", "--stages", "rank", "L(4;2^5)")

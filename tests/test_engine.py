@@ -115,6 +115,10 @@ class TestClassify:
                      "L(6;1,3,2)", "L(8;2,3,-3,1,-1,0,-3,1,-2)"]:
             assert isinstance(classify(parse_system(text), cfg), Verdict)
 
+    def test_unknown_stage_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown stages: rnak"):
+            EngineConfig(stages=("standard_form", "rnak"))
+
     def test_column_cap(self):
         cfg = EngineConfig(stages=("rank",), max_cols=10)
         v = classify(parse_system("L(9;1)"), cfg)

@@ -31,7 +31,6 @@ from fatpoints.initial_cases import (
     run_initial_cases,
     tail_diagram,
     tails,
-    throwout_tail,
 )
 from fatpoints.systems import INCONCLUSIVE, NON_SPECIAL
 
@@ -369,7 +368,7 @@ def family_matrices():
     spec = FamilySpec(5, 10, 1)
     finals = sorted({t.final.layers for t in (
         reduce_chain(tail_diagram(spec, tail), (5, 5))
-        for tail in tails(spec) if throwout_tail(spec, tail)) if t.consumed_all})
+        for tail in tails(spec)) if t.consumed_all})
     cfg = PrimeFieldConfig()
     out = []
     for layers in (finals[0], finals[len(finals) // 2], finals[-1]):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from fatpoints import initial_cases
@@ -14,7 +16,6 @@ from fatpoints.initial_cases import (
     run_initial_cases,
     tail_diagram,
     tails,
-    throwout_tail,
 )
 
 # (m, a, k, count_family, count_surviving) for every RESULTS_TABLE row
@@ -83,6 +84,38 @@ class TestFamilySpec:
             FamilySpec(m, a, k)
 
 
+def reference_enumeration(spec: FamilySpec) -> tuple[int, list[tuple[int, ...]]]:
+    """Brute force over every value vector: the family's size under its
+    successor rule, and the tails of it that pass the throwout inequality
+    on each consecutive pair of tail layers (the pair against the source
+    layer is left out, as it always passes)."""
+    m, a, k = spec.m, spec.a, spec.k
+    n = m - 1
+
+    def source(pos):
+        return a if k > 0 else a + pos
+
+    def step_ok(pos, x, y):
+        # k > 0: non-increasing; k = 0: a rise by one only on the staircase
+        return y <= x or (k == 0 and y == x + 1 and x == source(pos))
+
+    def throwout_ok(pos, x, y):
+        sx, sy = source(pos), source(pos + 1)
+        return y <= 0 or x + (x - y + sy - sx) * m >= sx
+
+    family = [
+        tail for tail in product(range(source(n) + 1), repeat=n)
+        if all(step_ok(pos, x, y)
+               for pos, (x, y) in enumerate(zip((a,) + tail, tail)))
+    ]
+    kept = [
+        tail for tail in family
+        if all(throwout_ok(pos, x, y)
+               for pos, (x, y) in enumerate(zip(tail, tail[1:]), start=1))
+    ]
+    return len(family), kept
+
+
 class TestEnumeration:
     def test_tiny_family(self):
         spec = FamilySpec(2, 2, 1)
@@ -93,10 +126,10 @@ class TestEnumeration:
     def test_dp_matches_explicit_enumeration(self):
         for spec in [FamilySpec(3, 4, 2), FamilySpec(4, 8, 0),
                      FamilySpec(4, 5, 1), FamilySpec(5, 10, 0)]:
-            listed = list(tails(spec))
-            assert len(listed) == count_family(spec)
-            survivors = [t for t in listed if throwout_tail(spec, t)]
-            assert len(survivors) == count_surviving(spec)
+            size, kept = reference_enumeration(spec)
+            assert list(tails(spec)) == kept
+            assert count_surviving(spec) == len(kept)
+            assert count_family(spec) == size
 
     def test_lexicographic_order(self):
         listed = list(tails(FamilySpec(3, 4, 1)))
@@ -112,6 +145,13 @@ class TestEnumeration:
         assert count_family(spec) == 27896
         assert count_surviving(spec) == 12799
 
+    def test_lists_only_surviving_tails(self):
+        # 27,132 tails in the family, 3,361 of them pass the throwout
+        assert len(list(tails(FamilySpec(7, 13, 5)))) == 3361
+        for m, a, k, _, surviving in TABLE_COUNTS:
+            if m == 7:
+                assert sum(1 for _ in tails(FamilySpec(m, a, k))) == surviving
+
     def test_table_counts_pinned(self):
         got = [(m, a, k, count_family(FamilySpec(m, a, k)),
                 count_surviving(FamilySpec(m, a, k)))
@@ -124,20 +164,18 @@ class TestThrowout:
         spec = FamilySpec(4, 8, 0)
         from fatpoints.initial_cases import _star_ok
 
-        for tail in tails(spec):
-            kept = throwout_tail(spec, tail)
-            pairs_ok = all(
-                _star_ok(spec, pos + 1, tail[pos], tail[pos + 1])
-                for pos in range(len(tail) - 1)
-            )
-            assert kept == pairs_ok
+        listed = list(tails(spec))
+        assert len(listed) < count_family(spec)  # the inequality cuts here
+        for tail in listed:
+            layers = (spec.a,) + tail
+            assert all(_star_ok(spec, pos, layers[pos], layers[pos + 1])
+                       for pos in range(len(tail)))
 
     def test_non_rising_pairs_kept_when_k_positive(self):
-        # k > 0 tails are non-increasing and the inequality involves
-        # equal source layers, so it can only cut rising configurations
+        # k > 0 tails never rise; the inequality cuts some of them, but
+        # never all
         spec = FamilySpec(4, 5, 2)
-        survivors = [t for t in tails(spec) if throwout_tail(spec, t)]
-        assert survivors  # never empties the family
+        assert 0 < len(list(tails(spec))) < count_family(spec)
 
 
 class TestResultsTable:

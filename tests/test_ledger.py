@@ -6,9 +6,10 @@ from collections import defaultdict
 
 import pytest
 
-from fatpoints.engine import EngineConfig
+from fatpoints.engine import EngineConfig, classify
 from fatpoints.ledger import (
     ADHOC_SCRIPTS,
+    Execution,
     LedgerEntry,
     _entry_from_record,
     _m_values,
@@ -19,7 +20,7 @@ from fatpoints.ledger import (
     run_ledger,
     verify_entry,
 )
-from fatpoints.systems import vdim
+from fatpoints.systems import INCONCLUSIVE, Verdict, vdim
 from fatpoints.textio import parse_system
 
 
@@ -63,6 +64,8 @@ class TestLoaderChecks:
         ({**FAMILY, "expect": "emtpy"}, "unknown expect 'emtpy'"),
         ({**FAMILY, "script": "glue3"}, "unknown script 'glue3'"),
         ({"id": "GLUE", "tail": 7}, "missing anchor"),
+        ({"id": "GLUE", "anchor": "glueing", "tail": 7, "k": [22]}, "missing r"),
+        ({k: v for k, v in FAMILY.items() if k != "tail"}, "missing tail"),
     ])
     def test_bad_record_names_its_line(self, rec, message):
         with pytest.raises(ValueError,
@@ -160,6 +163,27 @@ class TestVerify:
         rep = run_ledger(m_max=14, k_max=30, entry_id="GLUE")
         assert rep.entries >= 1
         assert not rep.failures
+
+    def test_instance_fails_when_its_method_does_not_settle_it(self, monkeypatch):
+        # the system is settled when classified directly, but a record
+        # passes only when its declared method settles it
+        L = parse_system("L(29;12,7^9)")
+        assert classify(L).conclusive
+
+        def stalled(L, cfg, **kwargs):
+            return Execution(verdict=Verdict(INCONCLUSIVE, reason="stalled"),
+                             chain=[L], glue_steps=[])
+
+        monkeypatch.setattr("fatpoints.ledger.execute_method", stalled)
+        entry = next(
+            e for e in entries()
+            if not e.concrete and e.expect == "auto"
+            and any(x.same_as(L) for _, x in iter_instances(e, 12, 17, 9))
+        )
+        rep = verify_entry(entry, m_max=12, k_max=17, r_max=9)
+        (result,) = rep.results
+        assert result.system == str(L)
+        assert not result.ok and result.kind == INCONCLUSIVE
 
 
 class TestDegreeDrop:
