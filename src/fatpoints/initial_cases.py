@@ -231,6 +231,8 @@ def run_initial_cases(
     Groups are certified in one pool of at most min(jobs, available CPUs)
     worker processes, opened at the first level with more than one group
     and kept for the rest of the run; the report does not depend on jobs.
+    A level holds its members as tails, which sort as their diagrams do:
+    every member shares the prefix (1..a, a^k).
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
@@ -255,21 +257,21 @@ def run_initial_cases(
         report.wall_time = time.perf_counter() - t0
         return report
 
-    pending = [tail_diagram(spec, t) for t in tails(spec)]
+    pending = list(tails(spec))
     assert len(pending) == surviving
     workers = min(jobs, _available_cpus())
     pool = None
     level = s
     with ExitStack() as stack:
         while True:
-            groups: dict[tuple[int, ...], list[Diagram]] = {}
-            unreduced: list[Diagram] = []
-            for D in pending:
-                trace = reduce_chain(D, (spec.m,) * level)
+            groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            unreduced: list[tuple[int, ...]] = []
+            for t in pending:
+                trace = reduce_chain(tail_diagram(spec, t), (spec.m,) * level)
                 if trace.consumed_all:
-                    groups.setdefault(trace.final.layers, []).append(D)
+                    groups.setdefault(trace.final.layers, []).append(t)
                 else:
-                    unreduced.append(D)
+                    unreduced.append(t)
             keys = sorted(groups)
             tasks = [(k, spec.m, cfg) for k in keys]
             if workers > 1 and len(tasks) > 1:
@@ -283,7 +285,7 @@ def run_initial_cases(
                 results = [_certify_group(t) for t in tasks]
             ok_keys = {k for k, ok, _ in results if ok}
             report.checked += sum(ran for _, _, ran in results)
-            next_pending = [D for k in keys if k not in ok_keys for D in groups[k]]
+            next_pending = [t for k in keys if k not in ok_keys for t in groups[k]]
             next_pending.extend(unreduced)
             report.levels.append(
                 LevelStats(
@@ -297,9 +299,7 @@ def run_initial_cases(
             if level == 0:
                 if next_pending:
                     report.result = "NOT_OK"
-                    report.counterexample = str(
-                        min(next_pending, key=lambda d: d.layers)
-                    )
+                    report.counterexample = str(tail_diagram(spec, min(next_pending)))
                 break
             if not next_pending:
                 break

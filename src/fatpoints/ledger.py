@@ -72,6 +72,15 @@ _FIELD_OF = {
     {"k_spec": "k", "r_spec": "r", "m_spec": "m"}.get(f.name, f.name): f.name
     for f in fields(LedgerEntry) if f.name != "index"
 }
+# keys a range object may carry; k and r may also be an int or a list of ints
+_RANGE_KEYS = {"k": {"ge", "le"}, "r": {"ge", "le"}, "m": {"ge", "ne"}}
+
+
+def _range_ok(key: str, spec: object) -> bool:
+    if isinstance(spec, dict):
+        return set(spec) <= _RANGE_KEYS[key]
+    ints = spec if isinstance(spec, list) else [spec]
+    return key != "m" and all(isinstance(v, int) for v in ints)
 
 
 def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
@@ -84,6 +93,9 @@ def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
     missing = [key for key in required if key not in rec]
     if missing:
         raise ValueError(f"{where}: missing {', '.join(missing)}")
+    for key in _RANGE_KEYS:
+        if key in rec and not _range_ok(key, rec[key]):
+            raise ValueError(f"{where}: bad {key} range {json.dumps(rec[key])}")
     entry = LedgerEntry(index=index, **{_FIELD_OF[k]: v for k, v in rec.items()})
     if entry.expect not in EXPECTS:
         raise ValueError(f"{where}: unknown expect {entry.expect!r}")
@@ -93,29 +105,18 @@ def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
 
 
 def load_entries() -> list[LedgerEntry]:
-    text = (
-        resources.files("fatpoints").joinpath("data", DATA_RESOURCE).read_text()
-    )
-    entries: list[LedgerEntry] = []
-    for index, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(_entry_from_record(json.loads(line), index))
-    return entries
+    text = resources.files("fatpoints").joinpath("data", DATA_RESOURCE).read_text()
+    return [_entry_from_record(json.loads(line), index)
+            for index, line in enumerate(text.splitlines())
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
 def _values(spec: object, lo_default: int, hi_cap: int) -> list[int]:
-    if spec is None:
-        return []
-    if isinstance(spec, int):
-        return [spec]
-    if isinstance(spec, list):
-        return [v for v in spec if v <= hi_cap]
+    """The values of a k or r range, whose form is checked at load."""
     if isinstance(spec, dict):
-        lo = spec.get("ge", lo_default)
         hi = min(spec.get("le", hi_cap), hi_cap)
-        return list(range(lo, hi + 1))
-    raise ValueError(f"bad range spec {spec!r}")
+        return list(range(spec.get("ge", lo_default), hi + 1))
+    return [spec] if isinstance(spec, int) else [v for v in spec if v <= hi_cap]
 
 
 def _m_values(entry: LedgerEntry, m_min: int, m_max: int) -> tuple[list[int], list[int]]:
@@ -404,7 +405,6 @@ class LedgerReport:
     instantiations: int = 0
     failures: list[InstanceResult] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
-    per_entry: list[EntryReport] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -432,5 +432,4 @@ def run_ledger(m_max: int = 20, k_max: int = 60, r_max: int = 16,
         summary.failures.extend(rep.failures)
         for sk in rep.skipped:
             summary.skipped.append({"entry": entry.id, "index": entry.index, **sk})
-        summary.per_entry.append(rep)
     return summary

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import re
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -66,6 +68,10 @@ class TestLoaderChecks:
         ({"id": "GLUE", "tail": 7}, "missing anchor"),
         ({"id": "GLUE", "anchor": "glueing", "tail": 7, "k": [22]}, "missing r"),
         ({k: v for k, v in FAMILY.items() if k != "tail"}, "missing tail"),
+        ({**FAMILY, "m": {"ge": 12, "le": 14}}, 'bad m range {"ge": 12, "le": 14}'),
+        ({**FAMILY, "k": {"gt": 3}}, 'bad k range {"gt": 3}'),
+        ({**FAMILY, "r": [9, "10"]}, 'bad r range [9, "10"]'),
+        ({**FAMILY, "m": 13}, "bad m range 13"),
     ])
     def test_bad_record_names_its_line(self, rec, message):
         with pytest.raises(ValueError,
@@ -163,6 +169,22 @@ class TestVerify:
         rep = run_ledger(m_max=14, k_max=30, entry_id="GLUE")
         assert rep.entries >= 1
         assert not rep.failures
+
+    def test_report_retains_almost_nothing(self):
+        # the report keeps the counts, failures and skips it prints, not
+        # the result of every instance: dropping it frees under 64 KiB
+        tracemalloc.start()
+        try:
+            rep = run_ledger(m_max=20, k_max=40, r_max=16)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            assert rep.instantiations > 0 and not rep.failures
+            del rep
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
     def test_instance_fails_when_its_method_does_not_settle_it(self, monkeypatch):
         # the system is settled when classified directly, but a record
