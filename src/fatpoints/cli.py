@@ -9,7 +9,6 @@ from math import comb
 import click
 
 from . import __version__
-from .cache import ResultCache, record_key
 from .diagrams import ReductionTrace, triangle
 from .engine import DEFAULT_CONFIG, EngineConfig, classify
 from .fplinalg import PrimeFieldConfig, interpolation_rank, sample_points, task_rng
@@ -56,17 +55,12 @@ def _emit(ctx: click.Context, payload: dict, text: str) -> None:
 
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON reports.")
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-              help="Append-only JSONL result cache.")
-@click.option("--no-cache", is_flag=True, help="Bypass the cache entirely.")
 @click.version_option(__version__)
 @click.pass_context
-def main(ctx: click.Context, as_json: bool, cache_path: str | None,
-         no_cache: bool) -> None:
+def main(ctx: click.Context, as_json: bool) -> None:
     """Certify non-specialty, emptiness or -1-specialty of linear systems
     of plane curves with fat base points."""
-    cache = ResultCache(None if no_cache else cache_path)
-    ctx.obj = {"json": as_json, "cache": cache}
+    ctx.obj = {"json": as_json}
 
 
 @main.command("vdim")
@@ -123,37 +117,24 @@ def classify_cmd(ctx: click.Context, system: str, prime: int, seed: int,
         raise click.UsageError(str(e)) from None
     L = _parse(parse_system, system)
     canonical = str(L.canonical())
-    key = record_key(
-        canonical + (f"|stages={','.join(stages)}" if stages_text else ""),
-        prime, seed, attempts, __version__,
-    )
-    cache = ctx.obj["cache"]
-    record = cache.get(key)
-    cached = record is not None
-    if record is None:
-        v = classify(L, cfg)
-        record = {
-            "input": canonical,
-            "verdict": _verdict_dict(v),
-            "prime": prime,
-            "seed": seed,
-            "attempts": attempts,
-            "version": __version__,
-        }
-        if v.kind != INCONCLUSIVE:  # a --max-cols cap must not outlive its run
-            cache.put(key, record)
-    payload = dict(record, cached=cached)
-    verdict = record["verdict"]
-    methods = [s["op"] for s in verdict["steps"]]
+    v = classify(L, cfg)
+    payload = {
+        "input": canonical,
+        "verdict": _verdict_dict(v),
+        "prime": prime,
+        "seed": seed,
+        "attempts": attempts,
+        "version": __version__,
+    }
+    methods = " -> ".join(s.op for s in v.certificate)
     text = (
-        f"{canonical}: {verdict['kind']}"
-        + (f", dim {verdict['dim']}" if verdict["dim"] is not None else "")
-        + (f" ({verdict['reason']})" if verdict["reason"] else "")
-        + (f" [via {' -> '.join(methods)}]" if methods else "")
-        + (" [cached]" if cached else "")
+        f"{canonical}: {v.kind}"
+        + (f", dim {v.dim}" if v.dim is not None else "")
+        + (f" ({v.reason})" if v.reason else "")
+        + (f" [via {methods}]" if methods else "")
     )
     _emit(ctx, payload, text)
-    if verdict["kind"] == INCONCLUSIVE:
+    if v.kind == INCONCLUSIVE:
         sys.exit(2)
 
 

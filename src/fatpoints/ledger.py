@@ -93,6 +93,9 @@ def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
     missing = [key for key in required if key not in rec]
     if missing:
         raise ValueError(f"{where}: missing {', '.join(missing)}")
+    stray = [key for key in ("tail", "k", "r", "m") if "system" in rec and key in rec]
+    if stray:
+        raise ValueError(f"{where}: concrete record with {', '.join(stray)}")
     for key in _RANGE_KEYS:
         if key in rec and not _range_ok(key, rec[key]):
             raise ValueError(f"{where}: bad {key} range {json.dumps(rec[key])}")
@@ -116,7 +119,7 @@ def _values(spec: object, lo_default: int, hi_cap: int) -> list[int]:
     if isinstance(spec, dict):
         hi = min(spec.get("le", hi_cap), hi_cap)
         return list(range(spec.get("ge", lo_default), hi + 1))
-    return [spec] if isinstance(spec, int) else [v for v in spec if v <= hi_cap]
+    return [v for v in ([spec] if isinstance(spec, int) else spec) if v <= hi_cap]
 
 
 def _m_values(entry: LedgerEntry, m_min: int, m_max: int) -> tuple[list[int], list[int]]:

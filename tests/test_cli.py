@@ -120,7 +120,6 @@ class TestClassify:
         assert r.exit_code == 0
         out = json.loads(r.output)
         assert out["verdict"]["kind"] == "NonSpecial"
-        assert out["cached"] is False
 
     def test_minus_one_special(self):
         r = run("classify", "L(4;2^5)")
@@ -141,44 +140,19 @@ class TestClassify:
         r = run("classify", "--stages", "rank", "L(4;2^5)")
         assert r.exit_code == 2
 
-
-class TestCache:
-    def test_hit_marked(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        r1 = run("--json", "--cache", path, "classify", "L(28;12,8^9)")
-        r2 = run("--json", "--cache", path, "classify", "L(28;12,8^9)")
-        assert json.loads(r1.output)["cached"] is False
-        assert json.loads(r2.output)["cached"] is True
-
-    def test_no_cache_flag(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        run("--cache", path, "classify", "L(28;12,8^9)")
-        r = run("--json", "--no-cache", "--cache", path,
-                "classify", "L(28;12,8^9)")
-        assert json.loads(r.output)["cached"] is False
-
-    def test_capped_inconclusive_is_not_served_later(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        args = ("--cache", path, "classify", "--stages", "rank")
+    def test_max_cols_cap_is_inconclusive(self):
+        args = ("classify", "--stages", "rank")
         capped = run(*args, "--max-cols", "10", "L(9;1)")
         assert capped.exit_code == 2 and "cap 10" in capped.output
         r = run("--json", *args, "L(9;1)")
         assert r.exit_code == 0
-        out = json.loads(r.output)
-        assert out["cached"] is False and out["verdict"]["kind"] == "NonSpecial"
+        assert json.loads(r.output)["verdict"]["kind"] == "NonSpecial"
 
-    def test_corrupt_line_is_skipped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text("not json\n")
-        r = run("--json", "--cache", str(path), "classify", "L(28;12,8^9)")
-        assert r.exit_code == 0
-        payloads = []
-        for line in r.output.splitlines():
-            try:
-                payloads.append(json.loads(line))
-            except json.JSONDecodeError:
-                assert "corrupt cache line" in line
-        assert len(payloads) == 1 and payloads[0]["cached"] is False
+    @pytest.mark.parametrize("option", [["--cache", "x"], ["--no-cache"]])
+    def test_no_result_cache(self, option):
+        r = run(*option, "classify", "L(28;12,8^9)")
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
+        assert "No such option" in r.output
 
 
 class TestReduceAndRank:

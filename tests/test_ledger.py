@@ -15,6 +15,7 @@ from fatpoints.ledger import (
     LedgerEntry,
     _entry_from_record,
     _m_values,
+    _values,
     dim_lower_bound_step,
     execute_method,
     iter_instances,
@@ -22,7 +23,7 @@ from fatpoints.ledger import (
     run_ledger,
     verify_entry,
 )
-from fatpoints.systems import INCONCLUSIVE, Verdict, vdim
+from fatpoints.systems import EMPTY, INCONCLUSIVE, NON_SPECIAL, Verdict, edim, vdim
 from fatpoints.textio import parse_system
 
 
@@ -50,6 +51,7 @@ class TestLoad:
 
 
 FAMILY = {"id": "GLUE", "anchor": "glueing", "tail": 7, "k": [22], "r": [9]}
+CONCRETE = {"id": "ADHOC", "anchor": "additional", "system": "L(29;12,7^9)"}
 
 
 class TestLoaderChecks:
@@ -72,11 +74,24 @@ class TestLoaderChecks:
         ({**FAMILY, "k": {"gt": 3}}, 'bad k range {"gt": 3}'),
         ({**FAMILY, "r": [9, "10"]}, 'bad r range [9, "10"]'),
         ({**FAMILY, "m": 13}, "bad m range 13"),
+        ({**CONCRETE, "k": [3], "m": {"ne": [12]}}, "concrete record with k, m"),
+        ({**CONCRETE, "tail": 7, "r": 9}, "concrete record with tail, r"),
     ])
     def test_bad_record_names_its_line(self, rec, message):
         with pytest.raises(ValueError,
                            match=re.escape(f"cases.jsonl line 5: {message}")):
             _entry_from_record(rec, 4)
+
+    @pytest.mark.parametrize("spec, values", [
+        (50, []), (40, [40]), ([39, 50], [39]), ({"ge": 39, "le": 50}, [39, 40]),
+    ])
+    def test_range_clipped_by_cap(self, spec, values):
+        assert _values(spec, 0, 40) == values
+
+    def test_int_k_above_cap_yields_no_instance(self):
+        entry = _entry_from_record({**FAMILY, "k": 50}, 4)
+        assert list(iter_instances(entry, m_max=12, k_max=40)) == []
+        assert [p["k"] for p, _ in iter_instances(entry, m_max=12, k_max=50)] == [50]
 
     @pytest.mark.parametrize("script, good, bad", [
         ("glue3-8-L(4;4)", "L(4;4)", "L(4;3)"),
@@ -206,6 +221,23 @@ class TestVerify:
         (result,) = rep.results
         assert result.system == str(L)
         assert not result.ok and result.kind == INCONCLUSIVE
+
+
+def test_engine_agrees_with_every_ledger_method():
+    # a differential oracle: classify settles each instance on its own,
+    # with the kind its declared method gives and dim edim (the dim every
+    # passing instance has); a disagreement is a bug in one of the two
+    kinds = defaultdict(int)
+    for e in entries():
+        rep = verify_entry(e, 20, 40, 16)
+        instances = list(iter_instances(e, 20, 40, 16))
+        assert len(instances) == len(rep.results)
+        for (params, L), res in zip(instances, rep.results):
+            assert res.ok and res.system == str(L), (e.id, params, res.note)
+            direct = classify(L)
+            assert (direct.kind, direct.dim) == (res.kind, edim(L)), (e.id, params)
+            kinds[res.kind] += 1
+    assert dict(kinds) == {EMPTY: 3694, NON_SPECIAL: 3102}
 
 
 class TestDegreeDrop:
