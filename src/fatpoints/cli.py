@@ -1,7 +1,6 @@
 """Command-line interface."""
 from __future__ import annotations
 
-import dataclasses
 import json as jsonlib
 import sys
 from math import comb
@@ -42,7 +41,7 @@ def _verdict_dict(v: Verdict) -> dict:
         "dim": v.dim,
         "axioms_used": list(v.axioms_used),
         "reason": v.reason,
-        "steps": [dataclasses.asdict(s) for s in v.certificate],
+        "steps": [s.to_dict() for s in v.certificate],
     }
 
 

@@ -76,24 +76,19 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
     if _depth > _MAX_DEPTH:
         return Verdict(INCONCLUSIVE, reason="recursion depth exceeded")
     steps: list[Step] = []
-    cur, text = L, None  # text: str(cur), once the chain has formatted it
+    cur = L
     if "standard_form" in cfg.stages:
         cur, chain = standard_form(L)
         if len(chain) > 1:
-            names = [str(s) for s in chain]
-            text = names[-1]
-            steps.append(Step("standard_form", {"chain": names},
-                              before=names[0], after=text))
+            steps.append(Step("standard_form", {"chain": chain}, before=L, after=cur))
         if cur.degree < 0:
-            return _empty(steps + [Step("negative_degree", {}, before=text or str(cur))])
+            return _empty(steps + [Step("negative_degree", {}, before=cur)])
     if "negative" in cfg.stages and cur.degree >= 0 and min(cur.mults, default=0) < 0:
         if "standard_form" not in cfg.stages:  # standard form leaves cur sorted
             cur = cur.sorted_desc()
         stripped, fixed = strip_negative_mults(cur)
-        steps.append(
-            Step("strip_negative", {"components": list(fixed.components)},
-                 before=text or str(cur), after=str(stripped))
-        )
+        steps.append(Step("strip_negative", {"components": list(fixed.components)},
+                          before=cur, after=stripped))
         sub = classify(stripped.canonical(), cfg, _depth + 1)
         if fixed.components:
             # Multiple fixed components: L is -1-special exactly when the
@@ -136,8 +131,7 @@ def _reduction_step(trace: diagrams.ReductionTrace) -> Step:
             "mults": [s.m for s in trace.steps],
             "residual": list(trace.residual_mults),
         },
-        before=str(trace.initial),
-        after=str(trace.final),
+        before=trace.initial, after=trace.final,
     )
 
 
@@ -161,8 +155,8 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
             cert = try_empty_by_enlarge(trace.final, trace.residual_mults)
             if cert is not None:
                 steps = (_reduction_step(trace),
-                         Step("enlarge", {"to": str(cert.enlarged)},
-                              before=str(cert.original)),
+                         Step("enlarge", {"to": cert.enlarged},
+                              before=cert.original),
                          _reduction_step(cert.trace))
                 return Verdict(NON_SPECIAL, dim=0, certificate=steps)
     if "rank" in cfg.stages:

@@ -345,7 +345,7 @@ def certify_nonspecial_rank(
         key = f"{D}|{','.join(map(str, mults))}"
     rng = task_rng(cfg, key)
     if not mults:
-        step = Step("rank", {"rows": 0, "cols": cols, "rank": 0}, before=str(D))
+        step = Step("rank", {"rows": 0, "cols": cols, "rank": 0}, before=D)
         return Verdict(NON_SPECIAL, dim=cols, certificate=(step,))
     for attempt in range(1, cfg.attempts + 1):
         pts = sample_points(len(mults), cfg.p, rng)
@@ -361,7 +361,7 @@ def certify_nonspecial_rank(
                     "seed": cfg.seed,
                     "attempt": attempt,
                 },
-                before=str(D),
+                before=D,
             )
             return Verdict(NON_SPECIAL, dim=cols - rk, certificate=(step,))
     return Verdict(

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .diagrams import Diagram
+
 # Verdict kinds
 NON_SPECIAL = "NonSpecial"
 EMPTY = "Empty"
@@ -101,18 +103,37 @@ def format_system(L: LinearSystem) -> str:
 class Step:
     """One replayable derivation step: an operation with its parameters.
 
-    The params dict is hashed through its sorted JSON text, so steps, and
-    the verdicts holding them, hash like they compare.
+    ``before``, ``after`` and the params hold the frozen systems and
+    diagrams the step names (a chain is a tuple of them), not their text.
+    ``to_dict`` makes the text when a certificate is serialized; the
+    objects are frozen, so it is the text they had when the step was
+    taken.  Steps, and the verdicts holding them, hash through that text,
+    so they hash like they compare.
     """
 
     op: str
     params: dict = field(default_factory=dict)
-    before: str | None = None
-    after: str | None = None
+    before: LinearSystem | Diagram | None = None
+    after: LinearSystem | Diagram | None = None
+
+    def to_dict(self) -> dict:
+        """The step as JSON-ready data: systems and diagrams as their
+        text, tuples as lists, every container fresh."""
+        return {"op": self.op, "params": _text(self.params),
+                "before": _text(self.before), "after": _text(self.after)}
 
     def __hash__(self) -> int:
-        return hash((self.op, json.dumps(self.params, sort_keys=True),
-                     self.before, self.after))
+        return hash(json.dumps(self.to_dict(), sort_keys=True))
+
+
+def _text(x):
+    if isinstance(x, (LinearSystem, Diagram)):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return [_text(y) for y in x]
+    if isinstance(x, dict):
+        return {k: _text(y) for k, y in x.items()}
+    return x
 
 
 @dataclass(frozen=True)
@@ -282,7 +303,7 @@ def classify_by_axioms(L: LinearSystem) -> Verdict | None:
         return None
     e = edim(L)
     kind = EMPTY if e == -1 else NON_SPECIAL
-    step = Step("axiom", {"axioms": list(axioms), "edim": e}, before=str(L))
+    step = Step("axiom", {"axioms": list(axioms), "edim": e}, before=L)
     return Verdict(kind, dim=e, certificate=(step,), axioms_used=axioms)
 
 

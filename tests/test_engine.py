@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from fatpoints import systems
 from fatpoints.diagrams import triangle
 from fatpoints.engine import (
     ALL_STAGES,
@@ -22,6 +24,8 @@ from fatpoints.systems import (
     LinearSystem,
     Verdict,
     edim,
+    format_system,
+    vdim,
 )
 from fatpoints.textio import parse_system
 
@@ -166,3 +170,38 @@ class TestDefaultConfig:
             assert classify(L) == classify(L, EngineConfig())
         with pytest.raises(AttributeError):
             DEFAULT_CONFIG.max_cols = 1
+
+
+class TestDeferredText:
+    """Steps hold systems, not text: classify formats no system, and only
+    serializing a certificate does."""
+
+    @staticmethod
+    def no_matrix_systems(n: int, seed: int):
+        """n systems on 3-14 points with multiplicities in -2..11 and
+        degrees within a few steps of the expected-dimension boundary;
+        with every multiplicity at most 11, the axioms settle them all."""
+        rng = random.Random(seed)
+        for _ in range(n):
+            mults = [rng.randint(-2, 11) for _ in range(rng.randint(3, 14))]
+            d = 0
+            while vdim(LinearSystem(d, mults)) < -1:
+                d += 1
+            yield LinearSystem(d + rng.randint(-2, 3), mults)
+
+    def test_classify_formats_no_system(self, monkeypatch):
+        calls = []
+
+        def counting(L):
+            calls.append(L)
+            return format_system(L)
+
+        monkeypatch.setattr(systems, "format_system", counting)
+        verdicts = [classify(L) for L in self.no_matrix_systems(2000, seed=5)]
+        steps = [s for v in verdicts for s in v.certificate]
+        assert all(v.conclusive for v in verdicts)
+        assert "rank" not in {s.op for s in steps}
+        assert len(steps) > 2000 and calls == []
+        texts = [s.to_dict() for s in steps]
+        assert len(calls) > 2000
+        assert all(t["before"] == format_system(s.before) for s, t in zip(steps, texts))

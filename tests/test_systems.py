@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from fatpoints.diagrams import Diagram, triangle
 from fatpoints.engine import classify
 from fatpoints.textio import parse_system
 from fatpoints.systems import (
@@ -292,9 +293,52 @@ class TestVerdictHash:
         assert a == b and hash(a) == hash(b)
         assert len({a, b, classify(parse_system("L(10;4^4)"))}) == 2
 
+    def test_steps_holding_diagrams_hash_equal(self):
+        a = classify(parse_system("L(32;12,10^9)"))
+        b = classify(parse_system("L(32;12,10^9)"))
+        assert any(isinstance(s.before, Diagram) for s in a.certificate)
+        assert a == b and hash(a) == hash(b)
+        others = [classify(parse_system(t)) for t in ("L(13;5,4^9)", "L(10;4^4)")]
+        assert len({a, b, *others}) == 3
+
     def test_params_hash_in_any_key_order(self):
         one = Step("rank", {"rows": 3, "cols": 4}, before="D")
         two = Step("rank", {"cols": 4, "rows": 3}, before="D")
         assert one == two and hash(one) == hash(two)
         assert repr(one) == ("Step(op='rank', params={'rows': 3, 'cols': 4}, "
                              "before='D', after=None)")
+
+
+class TestStepText:
+    CHAIN = (L(5, 3, 3, 2), L(3, 1, 1, 2), L(3, 2, 1, 1))
+
+    def test_to_dict_gives_text_and_lists(self):
+        step = Step("standard_form", {"chain": self.CHAIN},
+                    before=self.CHAIN[0], after=self.CHAIN[-1])
+        assert step.to_dict() == {
+            "op": "standard_form",
+            "params": {"chain": ["L(5;3^2,2)", "L(3;1^2,2)", "L(3;2,1^2)"]},
+            "before": "L(5;3^2,2)",
+            "after": "L(3;2,1^2)",
+        }
+        enlarge = Step("enlarge", {"to": triangle(10)}, before=Diagram((1, 2, 3, 1)))
+        assert enlarge.to_dict() == {"op": "enlarge", "params": {"to": "(~10)"},
+                                     "before": "(~3,1)", "after": None}
+
+    def test_to_dict_returns_fresh_containers(self):
+        step = Step("reduce_chain", {"mults": [4, 4], "residual": (3,),
+                                     "chain": self.CHAIN})
+        first = step.to_dict()
+        first["params"]["mults"].append(9)
+        first["params"]["residual"].clear()
+        first["params"]["chain"][0] = "L(0;)"
+        first["params"]["new"] = 1
+        assert step.params == {"mults": [4, 4], "residual": (3,), "chain": self.CHAIN}
+        assert step.to_dict() != first
+        assert step.to_dict()["params"]["chain"][0] == "L(5;3^2,2)"
+
+    def test_equal_steps_hash_equal(self):
+        one = Step("enlarge", {"to": triangle(10)}, before=Diagram((1, 2, 3, 1, 0)))
+        two = Step("enlarge", {"to": triangle(10)}, before=Diagram((1, 2, 3, 1)))
+        assert one == two and hash(one) == hash(two)
+        assert hash(one) != hash(Step("enlarge", {"to": triangle(9)}, before=two.before))
