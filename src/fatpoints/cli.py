@@ -98,9 +98,9 @@ def crst_cmd(ctx: click.Context, system: str) -> None:
 @main.command("classify")
 @click.argument("system")
 @click.option("--prime", default=PrimeFieldConfig.p, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--attempts", default=3, show_default=True)
-@click.option("--max-cols", default=2000, show_default=True)
+@click.option("--seed", default=PrimeFieldConfig.seed, show_default=True)
+@click.option("--attempts", default=PrimeFieldConfig.attempts, show_default=True)
+@click.option("--max-cols", default=EngineConfig.max_cols, show_default=True)
 @click.option("--stages", "stages_text", default=None,
               help="Comma-separated stage subset, e.g. standard_form,rank.")
 @click.pass_context
@@ -188,7 +188,7 @@ def reduce_cmd(ctx: click.Context, diagram_text: str, mults_text: str) -> None:
 @click.option("--diagram", "diagram_text", default=None)
 @click.option("--mults", "mults_text", default=None)
 @click.option("--prime", default=PrimeFieldConfig.p, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=PrimeFieldConfig.seed, show_default=True)
 @click.pass_context
 def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
              mults_text: str | None, prime: int, seed: int) -> None:
@@ -243,7 +243,7 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
 @click.option("--enumeration-only", is_flag=True,
               help="Only count and report sizes; no matrices.")
 @click.option("--prime", default=PrimeFieldConfig.p, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=PrimeFieldConfig.seed, show_default=True)
 @click.pass_context
 def initial_cases_cmd(ctx: click.Context, m_: int, a_: int, k_: int, s_: int,
                       jobs: int, enumeration_only: bool, prime: int,
@@ -276,7 +276,7 @@ def ledger_group() -> None:
 @click.option("--k-max", default=60, show_default=True)
 @click.option("--r-max", default=16, show_default=True)
 @click.option("--prime", default=PrimeFieldConfig.p, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=PrimeFieldConfig.seed, show_default=True)
 @click.pass_context
 def ledger_verify_cmd(ctx: click.Context, entry_id: str | None, m_max: int,
                       k_max: int, r_max: int, prime: int, seed: int) -> None:

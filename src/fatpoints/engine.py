@@ -18,7 +18,7 @@ trace of every step taken.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import diagrams
 from .diagrams import Diagram, triangle, try_empty_by_enlarge, vdim_space
@@ -66,10 +66,6 @@ class EngineConfig:
 DEFAULT_CONFIG = EngineConfig()
 
 
-def _empty(steps) -> Verdict:
-    return Verdict(EMPTY, dim=-1, certificate=tuple(steps))
-
-
 def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) -> Verdict:
     """Classify L as NonSpecial(dim) / Empty / MinusOneSpecial, or give up."""
     cfg = cfg or DEFAULT_CONFIG
@@ -82,30 +78,18 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
         if len(chain) > 1:
             steps.append(Step("standard_form", {"chain": chain}, before=L, after=cur))
         if cur.degree < 0:
-            return _empty(steps + [Step("negative_degree", {}, before=cur)])
+            return Verdict(EMPTY, -1, (*steps, Step("negative_degree", {}, before=cur)))
     if "negative" in cfg.stages and cur.degree >= 0 and min(cur.mults, default=0) < 0:
         if "standard_form" not in cfg.stages:  # standard form leaves cur sorted
             cur = cur.sorted_desc()
-        stripped, fixed = strip_negative_mults(cur)
-        steps.append(Step("strip_negative", {"components": list(fixed.components)},
+        stripped, components = strip_negative_mults(cur)
+        steps.append(Step("strip_negative", {"components": list(components)},
                           before=cur, after=stripped))
         sub = classify(stripped.canonical(), cfg, _depth + 1)
-        if fixed.components:
-            # Multiple fixed components: L is -1-special exactly when the
-            # stripped system is non-empty.
-            if sub.kind == NON_SPECIAL and (sub.dim is not None and sub.dim >= 0):
-                return Verdict(
-                    MINUS_ONE_SPECIAL, dim=sub.dim,
-                    certificate=tuple(steps) + sub.certificate,
-                    axioms_used=sub.axioms_used,
-                )
-            if sub.kind == MINUS_ONE_SPECIAL:
-                return replace(sub, certificate=tuple(steps) + sub.certificate)
-            if sub.kind == EMPTY:
-                return _empty(steps + list(sub.certificate))
-            return Verdict(INCONCLUSIVE, reason=sub.reason,
-                           certificate=tuple(steps) + sub.certificate)
-        return sub.prepend(tuple(steps))
+        # Multiple fixed components: L is -1-special exactly when the
+        # stripped system is non-empty, as a NonSpecial one is (dim >= 0).
+        kind = MINUS_ONE_SPECIAL if components and sub.kind == NON_SPECIAL else sub.kind
+        return Verdict(kind, sub.dim, tuple(steps) + sub.certificate, sub.reason)
     if cur.degree < 0 or min(cur.mults, default=0) < 0:
         return Verdict(INCONCLUSIVE, reason="unresolved negative entries",
                        certificate=tuple(steps))
@@ -120,7 +104,7 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
     # L is the projectivization of V(triangle(d+1); mults): one dimension less.
     v = classify_space(triangle(canon.degree + 1), canon.mults, cfg)
     if v.kind == NON_SPECIAL:
-        v = replace(v, kind=EMPTY if v.dim == 0 else NON_SPECIAL, dim=v.dim - 1)
+        v = Verdict.nonspecial(v.dim - 1, v.certificate)
     return v.prepend(tuple(steps))
 
 

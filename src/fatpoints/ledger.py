@@ -234,10 +234,7 @@ def _map_to_original(L: LinearSystem, ex: Execution) -> Verdict:
     """
     final = ex.verdict
     if final.certifies_nonspecial:
-        e = edim(L)
-        kind = EMPTY if e == -1 else NON_SPECIAL
-        return Verdict(kind, dim=e, certificate=final.certificate,
-                       axioms_used=final.axioms_used)
+        return Verdict.nonspecial(edim(L), final.certificate)
     if final.kind == MINUS_ONE_SPECIAL and ex.glue_steps:
         return Verdict(
             INCONCLUSIVE,
@@ -258,7 +255,9 @@ def _script_glue3(L: LinearSystem, cfg: EngineConfig,
     L2 = glue(L.canonical(), 3, small.mults[0], small.degree, cert)
     std, chain = standard_form(L2)
     v = classify_by_axioms(std.canonical())
-    assert v is not None
+    if v is None:
+        raise ValueError(
+            f"the axioms leave the glued system {std.canonical()} unsettled")
     return Execution(verdict=v, chain=[L, L2, *chain[1:]],
                      glue_steps=[_glue_step(small, L, L2)])
 
@@ -276,7 +275,8 @@ def _script_degree_drop(L: LinearSystem, cfg: EngineConfig) -> Execution:
     """Settle L by certifying the degree-(d-1) system non-special."""
     std, chain = standard_form(L)
     dropped = dim_lower_bound_step(std)
-    assert dropped is not None, "degree drop needs vdim(L(d-1;M)) >= -1"
+    if dropped is None:
+        raise ValueError("degree drop needs vdim(L(d-1;M)) >= -1")
     sub = classify(dropped, cfg)
     if not sub.certifies_nonspecial:
         sub = Verdict(INCONCLUSIVE, reason="degree-drop target not certified")

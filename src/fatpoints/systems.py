@@ -39,6 +39,8 @@ class LinearSystem:
     ``standard_form`` and ``strip_negative_mults``) skip that coercion
     through ``_derived``: they are built from Python ints by sorting,
     filtering and integer arithmetic, which yield Python ints again.
+    ``textio.parse_system`` skips it too, since it reads the text with
+    ``int``.
     """
 
     degree: int
@@ -143,8 +145,18 @@ class Verdict:
     kind: str
     dim: int | None = None
     certificate: tuple[Step, ...] = ()
-    axioms_used: tuple[str, ...] = ()
     reason: str | None = None
+
+    @staticmethod
+    def nonspecial(dim: int, certificate: tuple[Step, ...]) -> "Verdict":
+        """A non-special system of dimension dim: Empty when dim is -1."""
+        return Verdict(EMPTY if dim == -1 else NON_SPECIAL, dim, certificate)
+
+    @property
+    def axioms_used(self) -> tuple[str, ...]:
+        """The axioms the certificate's ``axiom`` steps name, in order."""
+        return tuple(a for s in self.certificate if s.op == "axiom"
+                     for a in s.params["axioms"])
 
     @property
     def conclusive(self) -> bool:
@@ -158,8 +170,7 @@ class Verdict:
     def prepend(self, steps: tuple[Step, ...]) -> "Verdict":
         if not steps:
             return self
-        return Verdict(self.kind, self.dim, steps + self.certificate,
-                       self.axioms_used, self.reason)
+        return Verdict(self.kind, self.dim, steps + self.certificate, self.reason)
 
 
 # ---------------------------------------------------------------------
@@ -235,28 +246,13 @@ def standard_form(L: LinearSystem) -> tuple[LinearSystem, tuple[LinearSystem, ..
 # negative multiplicity rules
 
 
-@dataclass(frozen=True)
-class FixedPart:
-    """Record of multiple fixed components split off by the rules below.
-
-    Each entry k >= 2 comes from a multiplicity -k; the exceptional
-    divisor appears k times in the fixed part of the system.
-    """
-
-    components: tuple[int, ...] = ()
-
-    @property
-    def vdim_shift(self) -> int:
-        """Sum of (k - k^2)/2 over recorded components."""
-        return sum((k - k * k) // 2 for k in self.components)
-
-
-def strip_negative_mults(L: LinearSystem) -> tuple[LinearSystem, FixedPart]:
+def strip_negative_mults(L: LinearSystem) -> tuple[LinearSystem, tuple[int, ...]]:
     """Zero out negative multiplicities of a sorted system with d >= 0.
 
     Entries equal to -1 are fixed components that change nothing
-    numerically; entries <= -2 are multiple fixed components and are
-    recorded with k = -m.  The identity
+    numerically; entries <= -2 are multiple fixed components, returned
+    as k = -m: the exceptional divisor lies k times in the fixed part of
+    the system.  The identity
     ``vdim L = vdim L' + sum (k - k^2)/2`` holds for the result L'.
     """
     if L.degree < 0:
@@ -265,7 +261,7 @@ def strip_negative_mults(L: LinearSystem) -> tuple[LinearSystem, FixedPart]:
         raise ValueError("strip_negative_mults needs non-increasing multiplicities")
     comps = tuple(-m for m in L.mults if m <= -2)
     new = tuple(0 if m < 0 else m for m in L.mults)
-    return _derived(L.degree, new), FixedPart(comps)
+    return _derived(L.degree, new), comps
 
 
 # ---------------------------------------------------------------------
@@ -302,9 +298,8 @@ def classify_by_axioms(L: LinearSystem) -> Verdict | None:
     else:
         return None
     e = edim(L)
-    kind = EMPTY if e == -1 else NON_SPECIAL
     step = Step("axiom", {"axioms": list(axioms), "edim": e}, before=L)
-    return Verdict(kind, dim=e, certificate=(step,), axioms_used=axioms)
+    return Verdict.nonspecial(e, (step,))
 
 
 # ---------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .diagrams import Diagram, format_diagram
-from .systems import LinearSystem, format_system
+from .systems import LinearSystem, _derived, format_system
 
 
 class ParseError(ValueError):
@@ -146,7 +146,7 @@ def parse_system(text: str) -> LinearSystem:
         degree, items = m.groups()
         flat = _flat_mults(items) if items else ()
         if flat is not None:
-            return LinearSystem(int(degree), flat)
+            return _derived(int(degree), flat)
     sc = _Scanner(text)
     sc.expect("L(")
     d = sc.integer()
@@ -156,7 +156,7 @@ def parse_system(text: str) -> LinearSystem:
         _items(sc, False, mults)
     sc.expect(")")
     sc.done()
-    return LinearSystem(d, tuple(mults))
+    return _derived(d, tuple(mults))
 
 
 def parse_mults(text: str) -> tuple[int, ...]:

@@ -110,6 +110,12 @@ class TestClassify:
         v = classify(parse_system(text))
         assert v.kind == EMPTY and v.dim == -1
 
+    @pytest.mark.parametrize("text", ["L(3;1^10,-2)", "L(3;1^10,-1)", "L(3;1^10)"])
+    def test_axioms_used_come_from_the_certificate(self, text):
+        # the -2 entry strips to the same Empty system as the other two
+        v = classify(parse_system(text))
+        assert v.kind == EMPTY and v.axioms_used == ("MULT_LE_11",)
+
     @pytest.mark.parametrize("stages", [
         s for n in range(1, len(ALL_STAGES) + 1)
         for s in combinations(ALL_STAGES, n)], ids=",".join)

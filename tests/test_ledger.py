@@ -15,6 +15,7 @@ from fatpoints.ledger import (
     LedgerEntry,
     _entry_from_record,
     _m_values,
+    _script_degree_drop,
     _values,
     dim_lower_bound_step,
     execute_method,
@@ -221,6 +222,17 @@ class TestVerify:
         (result,) = rep.results
         assert result.system == str(L)
         assert not result.ok and result.kind == INCONCLUSIVE
+
+    def test_glue3_endpoint_the_axioms_leave_unsettled(self, monkeypatch):
+        monkeypatch.setattr("fatpoints.ledger.classify_by_axioms", lambda L: None)
+        entry = next(e for e in entries() if e.script == "glue3-8-L(4;4)")
+        (result,) = verify_entry(entry).results
+        assert not result.ok and result.kind == "error"
+        assert "axioms leave the glued system" in result.note
+
+    def test_degree_drop_below_vdim_minus_one(self):
+        with pytest.raises(ValueError, match="degree drop needs"):
+            _script_degree_drop(parse_system("L(13;5,4^9)"), EngineConfig())
 
 
 def test_engine_agrees_with_every_ledger_method():

@@ -99,19 +99,19 @@ class TestStandardForm:
 
 class TestNegativeRules:
     def test_minus_one_changes_nothing(self):
-        stripped, fixed = strip_negative_mults(L(7, 9, -1, -1, -1))
+        stripped, components = strip_negative_mults(L(7, 9, -1, -1, -1))
         assert stripped.same_as(L(7, 9))
-        assert fixed.components == ()
+        assert components == ()
 
     def test_multiple_components_recorded(self):
-        stripped, fixed = strip_negative_mults(L(5, 7, -2, -4))
-        assert fixed.components == (2, 4)
+        stripped, components = strip_negative_mults(L(5, 7, -2, -4))
+        assert components == (2, 4)
         assert stripped.same_as(L(5, 7))
 
     def test_vdim_shift_identity(self):
         x = L(5, 7, -2, -4)
-        stripped, fixed = strip_negative_mults(x)
-        assert vdim(x) == vdim(stripped) + fixed.vdim_shift
+        stripped, components = strip_negative_mults(x)
+        assert vdim(x) == vdim(stripped) + sum((k - k * k) // 2 for k in components)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -132,6 +132,10 @@ class TestAxioms:
 
     def test_inapplicable(self):
         assert classify_by_axioms(L(50, 12, *[12] * 10)) is None
+
+    def test_nonspecial_of_dimension_minus_one_is_empty(self):
+        assert Verdict.nonspecial(-1, ()) == Verdict(EMPTY, -1)
+        assert Verdict.nonspecial(0, ()) == Verdict(NON_SPECIAL, 0)
 
     def test_requires_standard_form(self):
         with pytest.raises(ValueError):
@@ -272,9 +276,9 @@ class TestDerivedSystems:
         self.assert_public(cremona(srt), 3, [0, -2, -2, 3, 0, 0, -2])
         self.assert_public(cremona(LinearSystem(np.int64(5), np.array([7]))),
                            3, [5, -2, -2])
-        stripped, fixed = strip_negative_mults(srt)
+        stripped, components = strip_negative_mults(srt)
         self.assert_public(stripped, 10, [7, 5, 5, 3, 0, 0, 0])
-        assert fixed.components == (2,)
+        assert components == (2,)
 
     def test_standard_form_chain(self):
         res, chain = standard_form(LinearSystem(np.int64(30), np.array([13] + [9] * 9)))

@@ -186,3 +186,23 @@ class TestPinnedCorpus:
                 parse(text)
             assert (str(exc.value), exc.value.pos) == \
                 (f"{outcome} at position {expected} in {text!r}", expected), (kind, text)
+
+    def test_systems_skip_the_constructor_coercion(self, monkeypatch):
+        # both parse paths read Python ints, so coercing them again in the
+        # public constructor would be wasted
+        calls = []
+        post_init = LinearSystem.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(LinearSystem, "__post_init__", counting)
+        rows = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+        texts = [text for kind, text, outcome, _ in rows
+                 if kind == "system" and outcome == "ok"]
+        assert len(texts) > 100
+        for text in texts:
+            L = parse_system(text)
+            assert type(L.degree) is int and all(type(m) is int for m in L.mults)
+        assert calls == []
