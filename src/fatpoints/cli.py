@@ -1,6 +1,7 @@
 """Command-line interface."""
 from __future__ import annotations
 
+import inspect
 import json as jsonlib
 import sys
 from math import comb
@@ -24,6 +25,12 @@ def _parse(parse, text: str):
         return parse(text)
     except ParseError as e:
         raise click.UsageError(str(e)) from None
+
+
+def _default(fn, name: str):
+    """The library default of ``fn``'s keyword ``name``, so that an option
+    does not repeat it."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _field(**kwargs) -> PrimeFieldConfig:
@@ -237,7 +244,8 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
 @click.option("--m", "m_", type=int, required=True)
 @click.option("--a", "a_", type=int, required=True)
 @click.option("--k", "k_", type=int, required=True)
-@click.option("--s", "s_", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--s", "s_", type=click.IntRange(min=0),
+              default=_default(run_initial_cases, "s"), show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes; at most the number of available CPUs run.")
 @click.option("--enumeration-only", is_flag=True,
@@ -272,9 +280,9 @@ def ledger_group() -> None:
 @ledger_group.command("verify")
 @click.option("--entry", "entry_id", default=None,
               help="Verify only records with this id.")
-@click.option("--m-max", default=20, show_default=True)
-@click.option("--k-max", default=60, show_default=True)
-@click.option("--r-max", default=16, show_default=True)
+@click.option("--m-max", default=_default(run_ledger, "m_max"), show_default=True)
+@click.option("--k-max", default=_default(run_ledger, "k_max"), show_default=True)
+@click.option("--r-max", default=_default(run_ledger, "r_max"), show_default=True)
 @click.option("--prime", default=PrimeFieldConfig.p, show_default=True)
 @click.option("--seed", default=PrimeFieldConfig.seed, show_default=True)
 @click.pass_context

@@ -66,8 +66,11 @@ with X_j[alpha, a] = a!/(a-alpha)!·x_j^(a-alpha) and Y_j likewise in y.
 Multiplying by x - 1 takes a first backward difference in a, so the
 column of x^(a-k) (x - 1)^k y^b is (Delta^k X_j)[alpha, a]·Y_j[beta, b].
 ``build_matrix`` with ``fold`` = m1 takes k <= m1 differences of the
-small x-table, reducing mod p after each, and gathers each kept column
-from the k-th one: one pass builds the folded matrix.
+small x-table and gathers each kept column from the k-th one, reduced
+mod p: one pass builds the folded matrix.  A difference at most doubles
+the largest entry, so the table itself is reduced only once every 30
+passes, which keeps it below 2^30·p < 2^61 in int64.  The columns of
+slice b are one run of the output, as the columns go slice by slice.
 
 numpy and the kernel are imported inside ``build_matrix``, ``rank`` and
 ``task_rng``, so they load at the first matrix, not with the package.
@@ -100,6 +103,9 @@ DEFAULT_PRIME = 2**31 - 1
 # every product of two residues below P_LIMIT fits in int64, and the rank
 # kernel's split float64 products stay exact (see ``_gauss``)
 P_LIMIT = 2**31
+# fold passes between reductions: 2^FOLD_REDUCE·p stays below 2^63
+FOLD_REDUCE = 30
+assert 2**FOLD_REDUCE * P_LIMIT < 2**63
 
 
 class DegeneratePointsError(ValueError):
@@ -261,13 +267,16 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
     pt = np.repeat(np.cumsum(mults) - mults, [comb(m + 1, 2) for m in mults])
     al = np.concatenate([orders[m][0] for m in mults])
     be = np.concatenate([orders[m][1] for m in mults])
-    # the columns of slice b = m1 - k come from the k-th differences of X
+    # the columns of slice b = m1 - k come from the k-th differences of
+    # X; with fold > 0 eb is sorted, so each slice is one run of columns
     G = X[:, ea]
+    run = np.searchsorted(eb, np.arange(fold + 1)).tolist()
     for k in range(1, fold + 1):
         X[:, 1:] -= X[:, :-1]
-        X %= p
-        at = eb == fold - k
-        G[:, at] = X[:, ea[at]]
+        if k % FOLD_REDUCE == 0:
+            X %= p
+        lo, hi = run[fold - k], run[fold - k + 1]
+        np.remainder(X[:, ea[lo:hi]], p, out=G[:, lo:hi])
     A = G[pt + al]
     A *= Y[:, eb][pt + be]
     A -= A // p * p  # cheaper than % on a block

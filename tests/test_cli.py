@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import tracemalloc
 
@@ -7,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from fatpoints.cli import main
+from fatpoints.initial_cases import run_initial_cases
+from fatpoints.ledger import run_ledger
 
 
 def run(*args):
@@ -194,6 +197,19 @@ class TestInitialCasesAndLedger:
     def test_not_ok_exit_code(self):
         r = run("initial-cases", "--m", "5", "--a", "10", "--k", "1")
         assert r.exit_code == 1
+
+    @pytest.mark.parametrize("command, option, fn, name", [
+        (("ledger", "verify"), "m_max", run_ledger, "m_max"),
+        (("ledger", "verify"), "k_max", run_ledger, "k_max"),
+        (("ledger", "verify"), "r_max", run_ledger, "r_max"),
+        (("initial-cases",), "s_", run_initial_cases, "s"),
+    ])
+    def test_option_defaults_are_the_library_defaults(self, command, option, fn, name):
+        cmd = main
+        for word in command:
+            cmd = cmd.commands[word]
+        default = next(o.default for o in cmd.params if o.name == option)
+        assert default == inspect.signature(fn).parameters[name].default
 
     def test_ledger_verify_entry(self):
         r = run("--json", "ledger", "verify", "--entry", "ADHOC")

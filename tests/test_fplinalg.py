@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from cells import monomials
+from fatpoints import _gauss
 from fatpoints._gauss import (
+    BLOCK,
     PANEL,
     P_LIMIT,
+    _inverse4,
     _rank_mod_p_scalar,
     rank_mod_p,
 )
@@ -242,6 +245,21 @@ class TestRank:
             deficient += want < min(m, n)
         assert deficient >= 20
 
+    def test_scalar_oracle_on_unreduced_input(self):
+        # entries up to 3p in size: the oracle reduces its copy before it
+        # multiplies, so it agrees with itself on the reduced matrix and
+        # with the kernel
+        p = 2**31 - 1
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            m, n = (int(x) for x in rng.integers(2, 6, size=2))
+            A = rng.integers(-3 * p, 3 * p + 1, size=(m, n), dtype=np.int64)
+            if rng.random() < 0.5:  # a row equal to the first mod p
+                A[-1] = A[0] + p * int(rng.integers(-2, 3))
+            want = _rank_mod_p_scalar(A % p, p)
+            assert _rank_mod_p_scalar(A.copy(), p) == want, A
+            assert rank_mod_p(A, p) == want, A
+
     def test_rejects_prime_too_large_for_exact_arithmetic(self):
         # int64 products of residues overflow past 2^31: the kernel would
         # return a wrong rank, so the modulus is refused up front
@@ -359,6 +377,129 @@ class TestBlockedKernel:
         assert rank(A, P) == r
 
 
+@pytest.fixture
+def inversions(monkeypatch):
+    """Record each block inverse the kernel takes: True when the block was
+    invertible, False when it fell back to the single step."""
+    seen = []
+
+    def recording(B, p):
+        Binv = _inverse4(B, p)
+        seen.append(Binv is not None)
+        return Binv
+
+    monkeypatch.setattr(_gauss, "_inverse4", recording)
+    return seen
+
+
+def _inverse_mod(B, p):
+    """Inverse of a square matrix mod p by Gauss-Jordan on Python ints."""
+    n = len(B)
+    M = [[x % p for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(B)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if M[i][c])
+        M[c], M[piv] = M[piv], M[c]
+        inv = pow(M[c][c], -1, p)
+        M[c] = [x * inv % p for x in M[c]]
+        for i in range(n):
+            if i != c and M[i][c]:
+                f = M[i][c]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[c])]
+    return [row[n:] for row in M]
+
+
+class TestBlockStep:
+    """Four pivots per step: the block inverse, its int64 bound, and the
+    single-step fallback on singular blocks, against the reference."""
+
+    def test_inverse_in_balanced_residues(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            B = rng.integers(0, P, size=(BLOCK, BLOCK)).tolist()
+            Binv = _inverse4(B, P)
+            assert Binv.dtype == np.int64
+            assert np.abs(Binv).max() <= (P - 1) // 2
+            assert (Binv % P).tolist() == _inverse_mod(B, P)
+
+    def test_singular_blocks_have_no_inverse(self):
+        rng = np.random.default_rng(4)
+        for rank in range(BLOCK):
+            for _ in range(20):
+                X = rng.integers(0, P, size=(BLOCK, rank)).astype(object)
+                Y = rng.integers(0, P, size=(rank, BLOCK)).astype(object)
+                assert _inverse4(((X @ Y) % P).tolist(), P) is None
+
+    @pytest.mark.parametrize("v", [(P - 1) // 2, -(P - 1) // 2, -1])
+    def test_multipliers_at_the_int64_bound(self, inversions, v):
+        # B⁻¹ has a first column of v and the rows below B are all
+        # p - 1, so each multiplier in that column sums four products
+        # (p - 1)·v: at v = ±(p - 1)/2 they reach ±2(p - 1)^2, within
+        # 2^35 of 2^63, and at v = -1 they would pass 2^63 if v were
+        # kept as the residue p - 1
+        V = [[v, 0, 0, 0], [v, 1, 0, 0], [v, 0, 1, 0], [v, 0, 0, 1]]
+        B = _inverse_mod(V, P)
+        Binv = _inverse4(B, P)
+        assert Binv.tolist() == V
+        C = np.full((5, BLOCK), P - 1, dtype=np.int64)
+        want = [[sum(int(c) * x for c, x in zip(row, col)) for col in zip(*V)]
+                for row in C.tolist()]
+        assert max(abs(x) for row in want for x in row) == 4 * (P - 1) * abs(v)
+        assert (C @ Binv).tolist() == want
+        # the same rows in a matrix: rows below B that are the
+        # combinations -(1, 1, 1, 1)·V of B's rows, so the rank is 4
+        rng = np.random.default_rng(8)
+        top = np.hstack([np.array(B, dtype=np.int64),
+                         rng.integers(0, P, size=(BLOCK, 9), dtype=np.int64)])
+        y = [-sum(col) % P for col in zip(*V)]
+        below = np.array([[sum(a * int(b) for a, b in zip(y, c)) % P
+                           for c in top.T.tolist()]] * 5, dtype=np.int64)
+        assert below[:, :BLOCK].tolist() == C.tolist()
+        A = np.vstack([top, below])
+        assert _rank_mod_p_scalar(A, P) == BLOCK == rank_mod_p(A, P)
+        assert inversions[0]
+
+    def test_singular_blocks_at_every_panel_start(self, inversions):
+        # a zero column at each panel start and six columns in, so blocks
+        # fail at k = 0 and at k = 4; a repeated row pair at the top of
+        # the last panel, and a last row that combines two of the first,
+        # which only exact updates through every fallback bring to zero
+        n = 3 * W + 8
+        A = np.random.default_rng(21).integers(0, P, size=(n - 10, n), dtype=np.int64)
+        for c0 in range(0, n, W):
+            A[:, c0] = 0
+            A[:, c0 + 6] = 0
+        A[3 * (W - 2) + 1] = A[3 * (W - 2)]
+        A[-1] = (3 * A[2] + A[5]) % P
+        assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P) == len(A) - 2
+        # three panels of [False, True, False, False] + [True] * 6, then
+        # the zero column and the repeated pair
+        panel = [False, True, False, False] + [True] * 6
+        assert inversions == 3 * panel + [False] * 2
+
+    @pytest.mark.parametrize("n, tries", [(W, 8), (2 * W + 1, 16)])
+    def test_block_at_the_panel_edge(self, inversions, n, tries):
+        # with column 0 zero, blocks start at 1, 5, ..., 25 and end at
+        # column 28; columns 29-31 are too few for one, so they take
+        # single steps and no block crosses into the next panel, which
+        # takes eight blocks of its own
+        A = np.random.default_rng(n).integers(0, P, size=(n + 2, n), dtype=np.int64)
+        A[:, 0] = 0
+        assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P) == n - 1
+        assert inversions == [False] + [True] * (tries - 1)
+
+    @pytest.mark.parametrize("m, n", [
+        (5, 9), (6, 9), (7, 9), (W + 1, 2 * W), (W + 3, 2 * W + 5),  # wide
+        (5, 4), (6, 5), (7, 6), (W + 3, W - 1), (2 * W + 3, W + 2),  # tall
+    ])
+    def test_one_to_three_rows_left(self, m, n):
+        rng = np.random.default_rng(m * 100 + n)
+        A = rng.integers(0, P, size=(m, n), dtype=np.int64)
+        assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P) == min(m, n)
+        A[-1] = (A[0] + 2 * A[1]) % P
+        assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P)
+
+
 @pytest.fixture(scope="module")
 def family_matrices():
     """Interpolation matrices of three reduced diagrams of the staircase
@@ -392,6 +533,11 @@ class TestFamilyTraffic:
         want = _rank_mod_p_scalar(A.copy(), P)
         assert want == min(rows, cols)  # the family certifies these
         assert rank_mod_p(A.copy(), P) == want
+
+    def test_blocks_and_fallbacks_both_run(self, family_matrices, inversions):
+        for A in family_matrices:
+            assert rank_mod_p(A, P) == min(A.shape)
+        assert True in inversions and False in inversions
 
     def test_appended_row_combination(self, family_matrices):
         A = family_matrices[2]
