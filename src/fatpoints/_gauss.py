@@ -7,42 +7,37 @@ order, and on interpolation matrices this order puts a usable pivot at
 the top of most columns, so few pivots need a row swap.
 
 The kernel then walks the columns in panels of PANEL columns. Inside a
-panel it works column by column (left-looking): a column is brought up to
-date with one product against the pivot rows found so far, its first
-nonzero entry is the pivot, and the pivot row's remaining part is brought
-up to date the same way at the moment the pivot is chosen. After the
-panel, the trailing Schur complement gets the whole panel at once, as
-GEMMs over row chunks of CHUNK rows, so temporaries stay O(CHUNK ×
+panel it is left-looking and takes one pivot step at a time, of width
+b = BLOCK = 4 when four columns and four rows are left, else b = 1. A
+step brings its b columns up to date with one product against the pivot
+rows found so far. For b = 4 their leading 4 × 4 block B is inverted mod
+p by its adjugate over Python ints; when B is singular, the step falls
+back to b = 1 on the first of those columns, whose update is already
+made. For b = 1 the pivot is the column's first nonzero entry: when the
+top entry is 0, the first row below with a nonzero entry is swapped in,
+and a zero column gives no pivot. B is then the 1 × 1 block of that
+entry. Either way the b pivot rows' trailing part P is brought up to
+date, the multipliers of the rows below are the rows of M = C·B⁻¹ mod p
+(C: those rows of the step's columns), and U gets ``−2^16·P`` and ``−P``
+mod p while H gets the 16-bit halves of M, ``M = hi·2^16 + lo``. So
+``hi·(−2^16·P) + lo·(−P) ≡ −M·P (mod p)``: the product H.T @ U subtracts
+C·B⁻¹ times the pivot rows from the rows below, as b single eliminations
+would. Nothing reads a column of the step again once it is passed. After
+the panel, the trailing Schur complement gets the whole panel at once,
+as GEMMs over row chunks of CHUNK rows, so temporaries stay O(CHUNK ×
 columns).
 
-Exactness. Every residue lies in [0, p) with p < 2^31. Eliminating row i
-with pivot row u and pivot c subtracts l·u, l = a_i/c, from row i. The
-kernel stores a_i split into 16-bit halves, ``a_i = hi·2^16 + lo``, and
-the pivot row as the two residue rows ``−2^16·u/c mod p`` and
-``−u/c mod p``, so ``hi·(−2^16·u/c) + lo·(−u/c) ≡ −l·u (mod p)``. Each
-update is then one float64 product over the 2k ≤ 2·PANEL interleaved
-half columns of the k pivots so far, and a sum of at most 2·PANEL = 64
-terms, each below 2^16·2^31, plus one residue stays below
-``64·(2^31−2)·(2^16−1) + 2^31 < 2^53``. So every partial sum is an exact
-integer whatever the BLAS summation order or thread count; it is added
-to the residue in int64 and reduced there.
-
-Four pivots in one step. At column j of a panel, with four or more rows
-and columns left in it, the next four columns are brought up to date
-with one product, and their leading 4 × 4 block B is inverted mod p by
-its adjugate over Python ints. When B is invertible, its four rows are
-pivot rows: their trailing part is brought up to date, the multipliers
-of the rows below are the rows of C·B⁻¹ (C: those rows of the four
-columns), and U and H get the four pivot rows and the halves of the
-multipliers, two rows each, so the product H.T @ U subtracts C·B⁻¹
-times the pivot rows from the rows below, as four single steps would.
-The block's own columns are not written back: nothing reads a column
-again once the panel has passed it. When B is singular, column j
-takes the single step with the update already made, and the next block
-is tried at column j + 1. The multipliers come from one int64 product:
-|C| ≤ p − 1 and B⁻¹ is kept in balanced residues, |B⁻¹| ≤ (p − 1)/2, so
-four products sum to at most 2(p − 1)^2 < 2^63. H and U hold the same
-ranges as in a single step, so the bound above is unchanged.
+Exactness. Every residue in U and H lies in [0, p) with p < 2^31, and
+each half in H below 2^16. Each update is one float64 product over the
+2k ≤ 2·PANEL interleaved rows of the k pivots so far, a sum of at most
+2·PANEL = 64 terms, each below 2^16·2^31, plus one residue: that stays
+below ``64·(2^31−2)·(2^16−1) + 2^31 < 2^53``. So every partial sum is an
+exact integer whatever the BLAS summation order or thread count; it is
+added to the residue in int64 and reduced there. M comes from one int64
+product: |C| ≤ p − 1 and B⁻¹ is kept in balanced residues, |B⁻¹| ≤
+(p − 1)/2, so a sum of b ≤ BLOCK products stays below
+``BLOCK·(p − 1)^2/2 < 2^63``, the bound asserted at import; for b = 1
+it is below 2^61.
 
 The rank does not depend on which pivots are chosen, so the result is
 the same as that of the scalar reference ``_rank_mod_p_scalar``, which
@@ -73,8 +68,8 @@ CHUNK = 128
 _HALF = 1 << 16
 # 2·PANEL products (p−1)·(2^16−1) plus one residue stay below 2^53
 assert 2 * PANEL * (P_LIMIT - 2) * (_HALF - 1) + P_LIMIT - 2 < 2**53
-# pivots taken in one step when their leading block is invertible;
-# ``_inverse4`` is written for this size
+# pivots taken in one step when their leading block is invertible, else
+# one; ``_inverse4`` is written for this size
 BLOCK = 4
 # BLOCK products of a residue and a balanced one fit in int64
 assert BLOCK * (P_LIMIT - 2) * ((P_LIMIT - 2) // 2) < 2**63
@@ -127,80 +122,55 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     A = A[np.argsort((A != 0).argmax(axis=1), kind="stable")]
     A %= p
     r = 0
-    scale = np.empty(2, dtype=np.int64)
+    h = p >> 1  # (x + h) % p - h is the residue of x in [-h, h]
     bscale = np.array([(-1 << 16) % p, p - 1], dtype=np.int64)
     for c0 in range(0, n, PANEL):
         if r == m:
             break
         w = min(PANEL, n - c0)
         S = A[r:, c0:]
-        # H[2i], H[2i+1]: the 16-bit halves of the entries that pivot i
-        # eliminates; U[2i], U[2i+1]: pivot row i times -2^16/c_i, -1/c_i.
-        # A block of pivots i..i+3 keeps the halves of its four
-        # multipliers as H[2i:2i+4] (hi) and H[2i+4:2i+8] (lo), and U
-        # pairs them likewise.
+        # a step of b pivots i..i+b-1 keeps the 16-bit halves of its
+        # multipliers as H[2i:2i+b] (hi) and H[2i+b:2i+2b] (lo), and its
+        # pivot rows times -2^16 and -1 as U[2i:2i+b] and U[2i+b:2i+2b]
         H = np.zeros((2 * w, m - r))
         U = np.empty((2 * w, n - c0))
         k = 0  # pivots found in this panel; they are rows 0..k-1 of S
         j = 0
         while j < w and r + k < m:
             kk = 2 * k
-            col = S[k:, j]
-            if j + BLOCK <= w and r + k + BLOCK <= m:
-                Ct = S[k:, j:j + BLOCK]
-                if k:
-                    Ct = Ct + (H[:kk, k:].T @ U[:kk, j:j + BLOCK]).astype(np.int64)
-                    Ct %= p
-                Binv = _inverse4(Ct[:BLOCK].tolist(), p)
-                if Binv is not None:
-                    # nothing reads the block's own columns again
-                    P = S[k:k + BLOCK, j + BLOCK:]
-                    if k:
-                        P += (H[:kk, k:k + BLOCK].T
-                              @ U[:kk, j + BLOCK:]).astype(np.int64)
-                        P %= p
-                    U[kk:kk + 2 * BLOCK, j + BLOCK:] = (
-                        np.multiply.outer(bscale, P) % p).reshape(2 * BLOCK, P.shape[1])
-                    M = Ct[BLOCK:] @ Binv
-                    M %= p
-                    np.divmod(M.T, _HALF, out=(H[kk:kk + BLOCK, k + BLOCK:],
-                                               H[kk + BLOCK:kk + 2 * BLOCK,
-                                                 k + BLOCK:]))
-                    k += BLOCK
-                    j += BLOCK
-                    continue
-                # singular block: the single step below, on column j
-                # only, whose update Ct already holds
-                if k:
-                    col[:] = Ct[:, 0]
-            elif k:
-                col += (H[:kk, k:].T @ U[:kk, j]).astype(np.int64)
-                col %= p
-            if not col[0]:
-                nz = col.nonzero()[0]
-                if nz.size == 0:
-                    j += 1
-                    continue
-                i = k + int(nz[0])
-                t = S[k, j:].copy()
-                S[k, j:] = S[i, j:]
-                S[i, j:] = t
-                if k:
-                    t = H[:kk, k].copy()
-                    H[:kk, k] = H[:kk, i]
-                    H[:kk, i] = t
-            row = S[k, j:]
+            b = BLOCK if j + BLOCK <= w and r + k + BLOCK <= m else 1
+            Ct = S[k:, j:j + b]
             if k:
-                rest = row[1:]
-                rest += (H[:kk, k] @ U[:kk, j + 1:]).astype(np.int64)
-                rest %= p
-            inv = pow(int(row[0]), -1, p)
-            scale[0] = (-inv << 16) % p
-            scale[1] = -inv % p
-            U[kk:kk + 2, j:] = np.multiply.outer(scale, row) % p
-            np.divmod(col[1:], _HALF, out=(H[kk, k + 1:], H[kk + 1, k + 1:]))
-            k += 1
-            j += 1
+                Ct = Ct + (H[:kk, k:].T @ U[:kk, j:j + b]).astype(np.int64)
+                Ct %= p
+            Binv = _inverse4(Ct[:BLOCK].tolist(), p) if b == BLOCK else None
+            if Binv is None:
+                b = 1
+                Ct = Ct[:, :1]
+                if not Ct[0, 0]:
+                    nz = Ct[:, 0].nonzero()[0]
+                    if nz.size == 0:
+                        j += 1
+                        continue
+                    i = int(nz[0])
+                    S[[k, k + i], j + 1:] = S[[k + i, k], j + 1:]
+                    Ct[[0, i]] = Ct[[i, 0]]
+                    H[:kk, [k, k + i]] = H[:kk, [k + i, k]]
+                inv = pow(int(Ct[0, 0]), -1, p)
+                Binv = np.array([[(inv + h) % p - h]], dtype=np.int64)
+            # nothing reads the step's own columns of S again
+            P = S[k:k + b, j + b:]
+            if k:
+                P += (H[:kk, k:k + b].T @ U[:kk, j + b:]).astype(np.int64)
+                P %= p
+            U[kk:kk + 2 * b, j + b:] = (
+                np.multiply.outer(bscale, P) % p).reshape(2 * b, P.shape[1])
+            M = Ct[b:, :b] @ Binv
+            M %= p
+            np.divmod(M.T, _HALF, out=(H[kk:kk + b, k + b:],
+                                       H[kk + b:kk + 2 * b, k + b:]))
+            k += b
+            j += b
         if k and w < n - c0 and r + k < m:
             T = S[k:, w:]
             kk = 2 * k

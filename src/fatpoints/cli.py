@@ -202,10 +202,10 @@ def rank_cmd(ctx: click.Context, system: str | None, diagram_text: str | None,
     """Interpolation-matrix rank for SYSTEM or for --diagram/--mults."""
     if system is not None and (diagram_text is not None or mults_text is not None):
         raise click.UsageError("give SYSTEM or --diagram/--mults, not both")
-    if system:
+    if system is not None:
         L = _parse(parse_system, system)
         mults = L.mults
-    elif diagram_text and mults_text:
+    elif diagram_text is not None and mults_text is not None:
         D = _parse(parse_diagram, diagram_text)
         mults = _parse(parse_mults, mults_text)
     else:
@@ -290,8 +290,11 @@ def ledger_verify_cmd(ctx: click.Context, entry_id: str | None, m_max: int,
                       k_max: int, r_max: int, prime: int, seed: int) -> None:
     """Replay and verify every ledger record over the given ranges."""
     cfg = EngineConfig(field_cfg=_field(p=prime, seed=seed))
-    report = run_ledger(m_max=m_max, k_max=k_max, r_max=r_max, cfg=cfg,
-                        entry_id=entry_id)
+    try:
+        report = run_ledger(m_max=m_max, k_max=k_max, r_max=r_max, cfg=cfg,
+                            entry_id=entry_id)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from None
     if ctx.obj["json"]:
         click.echo(jsonlib.dumps(report.to_dict(), sort_keys=True))
     else:

@@ -258,7 +258,9 @@ def run_initial_cases(
         return report
 
     pending = list(tails(spec))
-    assert len(pending) == surviving
+    if len(pending) != surviving:
+        raise RuntimeError(f"tails lists {len(pending)} diagrams, "
+                           f"count_surviving counts {surviving}")
     workers = min(jobs, _available_cpus())
     pool = None
     level = s

@@ -288,13 +288,12 @@ def _script_classify(L: LinearSystem, cfg: EngineConfig) -> Execution:
     return Execution(verdict=classify(L, cfg), chain=[L], glue_steps=[])
 
 
+# a record's midpoints name the systems its script passes through
 ADHOC_SCRIPTS = {
-    "glue3-8-L(4;4)": lambda L, cfg: _script_glue3(L, cfg, "L(15;8^3)"),
-    "glue3-10-L(4;2)": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)"),
-    "glue3-10-L(5;5)": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)"),
+    "glue3-8": lambda L, cfg: _script_glue3(L, cfg, "L(15;8^3)"),
+    "glue3-10": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)"),
+    "degree-drop": _script_degree_drop,
     "classify": _script_classify,
-    "degree-drop-L(26;9^2,8^8)": _script_degree_drop,
-    "crst-degree-drop-L(29;11,9^8,8)": _script_degree_drop,
 }
 
 
@@ -425,10 +424,11 @@ def run_ledger(m_max: int = 20, k_max: int = 60, r_max: int = 16,
                cfg: EngineConfig | None = None,
                entry_id: str | None = None) -> LedgerReport:
     cfg = cfg or DEFAULT_CONFIG
+    chosen = [e for e in load_entries() if entry_id is None or e.id == entry_id]
+    if not chosen:
+        raise ValueError(f"no ledger record has id {entry_id!r}")
     summary = LedgerReport()
-    for entry in load_entries():
-        if entry_id is not None and entry.id != entry_id:
-            continue
+    for entry in chosen:
         rep = verify_entry(entry, m_max, k_max, r_max, cfg)
         summary.entries += 1
         summary.instantiations += len(rep.results)

@@ -181,6 +181,12 @@ class TestReduceAndRank:
         assert r.exit_code == 0
         assert json.loads(r.output)["input"] == "(~5); 2,2,2,2,1,1,1"
 
+    def test_rank_diagram_with_no_mults(self):
+        r = run("--json", "rank", "--diagram", "(~3)", "--mults", "")
+        out = json.loads(r.output)
+        assert r.exit_code == 0
+        assert (out["rows"], out["cols"], out["rank"]) == (0, 6, 0)
+
     def test_rank_needs_input(self):
         assert run("rank").exit_code != 0
 
@@ -215,3 +221,8 @@ class TestInitialCasesAndLedger:
         r = run("--json", "ledger", "verify", "--entry", "ADHOC")
         out = json.loads(r.output)
         assert r.exit_code == 0 and out["failures"] == []
+
+    def test_ledger_verify_unknown_entry(self):
+        r = run("ledger", "verify", "--entry", "NOPE")
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
+        assert "no ledger record has id 'NOPE'" in r.output

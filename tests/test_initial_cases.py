@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import fatpoints
 from fatpoints import initial_cases
 from fatpoints.diagrams import reduce_chain
 from fatpoints.fplinalg import PrimeFieldConfig
@@ -231,6 +236,31 @@ class TestRun:
         assert report.checked == len(calls)
         groups = sum(lv.distinct_reduced for lv in report.levels)
         assert report.checked < 2 * groups
+
+    def test_listing_against_count_raises(self, monkeypatch):
+        spec = FamilySpec(5, 10, 1)
+        n = count_surviving(spec)
+        monkeypatch.setattr(initial_cases, "count_surviving", lambda spec: n + 1)
+        with pytest.raises(RuntimeError, match=(
+                f"tails lists {n} diagrams, count_surviving counts {n + 1}")):
+            run_initial_cases(spec)
+
+    def test_listing_against_count_raises_without_asserts(self):
+        script = (
+            "from fatpoints import initial_cases as ic\n"
+            "real = ic.count_surviving\n"
+            "ic.count_surviving = lambda spec: real(spec) + 1\n"
+            "ic.run_initial_cases(ic.FamilySpec(5, 10, 1))\n"
+        )
+        src = str(Path(fatpoints.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        n = count_surviving(FamilySpec(5, 10, 1))
+        assert proc.returncode == 1
+        assert (f"RuntimeError: tails lists {n} diagrams, "
+                f"count_surviving counts {n + 1}") in proc.stderr
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"s": -1}, "s must be >= 0"),

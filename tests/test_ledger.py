@@ -95,8 +95,8 @@ class TestLoaderChecks:
         assert [p["k"] for p, _ in iter_instances(entry, m_max=12, k_max=50)] == [50]
 
     @pytest.mark.parametrize("script, good, bad", [
-        ("glue3-8-L(4;4)", "L(4;4)", "L(4;3)"),
-        ("degree-drop-L(26;9^2,8^8)", "L(26;9^2,8^8)", "L(26;9^2,8^7)"),
+        ("glue3-8", "L(4;4)", "L(4;3)"),
+        ("degree-drop", "L(26;9^2,8^8)", "L(26;9^2,8^7)"),
     ])
     def test_wrong_script_midpoint_fails(self, script, good, bad):
         entry = next(e for e in entries() if e.script == script)
@@ -186,6 +186,10 @@ class TestVerify:
         assert rep.entries >= 1
         assert not rep.failures
 
+    def test_run_ledger_unknown_id(self):
+        with pytest.raises(ValueError, match="no ledger record has id 'NOPE'"):
+            run_ledger(entry_id="NOPE")
+
     def test_report_retains_almost_nothing(self):
         # the report keeps the counts, failures and skips it prints, not
         # the result of every instance: dropping it frees under 64 KiB
@@ -225,7 +229,7 @@ class TestVerify:
 
     def test_glue3_endpoint_the_axioms_leave_unsettled(self, monkeypatch):
         monkeypatch.setattr("fatpoints.ledger.classify_by_axioms", lambda L: None)
-        entry = next(e for e in entries() if e.script == "glue3-8-L(4;4)")
+        entry = next(e for e in entries() if e.script == "glue3-8")
         (result,) = verify_entry(entry).results
         assert not result.ok and result.kind == "error"
         assert "axioms leave the glued system" in result.note
