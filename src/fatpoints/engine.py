@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import diagrams
 from .diagrams import Diagram, triangle, try_empty_by_enlarge, vdim_space
-from .fplinalg import PrimeFieldConfig, certify_nonspecial_rank
+from .fplinalg import PrimeFieldConfig, certify_nonspecial_rank, matrix_shape
 from .systems import (
     EMPTY,
     INCONCLUSIVE,
@@ -47,7 +47,9 @@ _MAX_DEPTH = 200
 @dataclass(frozen=True)
 class EngineConfig:
     """Rank field, column cap and enabled stages of a classification;
-    a stage name outside ``ALL_STAGES`` is a ValueError.
+    a stage name outside ``ALL_STAGES`` is a ValueError.  The rank stage
+    builds no matrix of more than ``max_cols`` columns or ``max_cols**2``
+    entries (see ``fplinalg.matrix_shape``).
 
     ``DEFAULT_CONFIG`` is the one instance every call without a config
     shares; it is immutable, like every EngineConfig and PrimeFieldConfig.
@@ -83,7 +85,7 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
         if "standard_form" not in cfg.stages:  # standard form leaves cur sorted
             cur = cur.sorted_desc()
         stripped, components = strip_negative_mults(cur)
-        steps.append(Step("strip_negative", {"components": list(components)},
+        steps.append(Step("strip_negative", {"components": components},
                           before=cur, after=stripped))
         sub = classify(stripped.canonical(), cfg, _depth + 1)
         # Multiple fixed components: L is -1-special exactly when the
@@ -112,8 +114,8 @@ def _reduction_step(trace: diagrams.ReductionTrace) -> Step:
     return Step(
         "reduce_chain",
         {
-            "mults": [s.m for s in trace.steps],
-            "residual": list(trace.residual_mults),
+            "mults": tuple(s.m for s in trace.steps),
+            "residual": trace.residual_mults,
         },
         before=trace.initial, after=trace.final,
     )
@@ -153,6 +155,11 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
             candidates.append((trace.final, trace.residual_mults, trace))
         candidates.append((D, tuple(mults), None))
         for target, ms, pre in candidates:
+            rows, cols = matrix_shape(target, ms)
+            if rows * cols > cfg.max_cols ** 2:
+                return Verdict(INCONCLUSIVE,
+                               reason=f"matrix would be {rows}x{cols} "
+                                      f"(cap {cfg.max_cols}^2 entries)")
             v = certify_nonspecial_rank(target, ms, cfg.field_cfg)
             if v.kind == NON_SPECIAL:
                 steps = (_reduction_step(pre),) if pre is not None else ()

@@ -293,6 +293,18 @@ def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
 
 
+def matrix_shape(D: Diagram, mults) -> tuple[int, int]:
+    """Rows and columns, at most, of the matrix ``interpolation_rank``
+    builds for V(D; mults).  On a down-closed D the heaviest point's rows
+    and the cells it pivots on are left out; the fold of a second point,
+    which depends on the sampled points, only makes the matrix smaller."""
+    rows = sum(comb(m + 1, 2) for m in mults)
+    if not mults or not D.down_closed:
+        return rows, D.cells
+    m0 = max(mults)
+    return rows - comb(m0 + 1, 2), D.cells - sum(D.layers[:m0])
+
+
 def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int:
     """Rank over F_p of the interpolation matrix of V(D; mults) at points.
 

@@ -31,6 +31,7 @@ from .systems import (
     NON_SPECIAL,
     GlueError,
     LinearSystem,
+    Step,
     Verdict,
     classify_by_axioms,
     edim,
@@ -144,14 +145,24 @@ def instantiate(entry: LedgerEntry, m: int | None = None, k: int | None = None,
 # generic method executor
 
 
-@dataclass
-class Execution:
-    verdict: Verdict
-    chain: list[LinearSystem]
-    glue_steps: list[dict]
+def _standard_form(L: LinearSystem, steps: list[Step]) -> LinearSystem:
+    """The standard form of L; a chain of two or more systems is recorded
+    as a step, as the engine records it."""
+    std, chain = standard_form(L)
+    if len(chain) > 1:
+        steps.append(Step("standard_form", {"chain": chain}, before=L, after=std))
+    return std
 
-    def chain_contains(self, L: LinearSystem) -> bool:
-        return any(x.same_as(L) for x in self.chain)
+
+def _glue(L: LinearSystem, small: LinearSystem, cfg: EngineConfig,
+          steps: list[Step]) -> LinearSystem:
+    """Glue the points of `small` in L, recording the step with the small
+    system and its certificate."""
+    cert = classify(small, cfg)
+    glued = glue(L, len(small.mults), small.mults[0], small.degree, cert)
+    steps.append(Step("glue", {"small": small, "certificate": cert.certificate},
+                      before=L, after=glued))
+    return glued
 
 
 def execute_method(
@@ -160,7 +171,7 @@ def execute_method(
     target_offset: int = 1,
     glues_per_phase: int = 1,
     max_glues: int | None = None,
-) -> Execution:
+) -> tuple[tuple[Step, ...], Verdict]:
     """Alternate standard form and glue phases until the axioms conclude.
 
     A glue phase performs up to glues_per_phase consecutive glues, each
@@ -168,79 +179,55 @@ def execute_method(
     one point of multiplicity 2*m0 + target_offset (the usual target is
     2*m0 + 1; emptiness proofs glue to 2*m0).  If no glue applies or a
     precondition fails, the engine pipeline settles the current system.
+
+    Returns the method's own steps, ``standard_form`` and ``glue`` steps
+    starting at L, and the verdict of the system where they end.
     """
-    chain = [L]
-    glue_steps: list[dict] = []
+    steps: list[Step] = []
+    glues = 0
     cur = L
-    verdict: Verdict | None = None
     for _ in range(24):
-        cur, ch = standard_form(cur)
-        chain.extend(ch[1:])
+        cur = _standard_form(cur, steps)
         if cur.degree < 0 or any(x < 0 for x in cur.mults):
-            verdict = classify(cur, cfg)
-            break
+            return tuple(steps), classify(cur, cfg)
         canon = cur.canonical()
         v = classify_by_axioms(canon)
         if v is not None:
-            verdict = v
-            break
-        glued = 0
-        failed = False
-        while glued < glues_per_phase:
-            if max_glues is not None and len(glue_steps) >= max_glues:
-                break
-            m0 = next(
-                (x for x in sorted(set(canon.mults))
-                 if x > 0 and canon.count(x) >= GLUE_S),
-                None,
-            )
+            return tuple(steps), v
+        phase_start = glues
+        while glues - phase_start < glues_per_phase and (
+                max_glues is None or glues < max_glues):
+            m0 = next((x for x in sorted(set(canon.mults))
+                       if x > 0 and canon.count(x) >= GLUE_S), None)
             if m0 is None:
                 break
-            k_small = 2 * m0 - 1 + target_offset
-            small = LinearSystem(k_small, (m0,) * GLUE_S)
-            cert = classify(small, cfg)
+            small = LinearSystem(2 * m0 - 1 + target_offset, (m0,) * GLUE_S)
             try:
-                nxt = glue(canon, GLUE_S, m0, k_small, cert)
+                canon = _glue(canon, small, cfg, steps).canonical()
             except GlueError:
-                failed = True
-                break
-            glue_steps.append(_glue_step(small, canon, nxt))
-            chain.append(nxt)
-            canon = nxt.canonical()
-            glued += 1
-        if glued == 0 or failed:
-            verdict = classify(canon, cfg)
-            break
+                return tuple(steps), classify(canon, cfg)
+            glues += 1
+        if glues == phase_start:
+            return tuple(steps), classify(canon, cfg)
         cur = canon
-    if verdict is None:
-        verdict = classify(cur, cfg)
-    return Execution(verdict=verdict, chain=chain, glue_steps=glue_steps)
+    return tuple(steps), classify(cur, cfg)
 
 
-def _glue_step(small: LinearSystem, before: LinearSystem,
-               after: LinearSystem) -> dict:
-    """Record of one glue of the points of `small`: `before` became `after`."""
-    return {"s": len(small.mults), "m": small.mults[0], "k": small.degree,
-            "vdim_before": vdim(before), "vdim_after": vdim(after),
-            "vdim_small": vdim(small)}
-
-
-def _map_to_original(L: LinearSystem, ex: Execution) -> Verdict:
-    """Transfer the endpoint verdict back to the original system.
+def _map_to_original(L: LinearSystem, steps: tuple[Step, ...],
+                     endpoint: Verdict) -> Verdict:
+    """Transfer the endpoint verdict back to the original system; its
+    certificate is the method's steps, then the endpoint's.
 
     Cremona transformations preserve dimension and (-1-)specialty;
     glueing transfers non-specialty (and hence emptiness through the
     expected dimension) but not -1-specialty.
     """
-    final = ex.verdict
-    if final.certifies_nonspecial:
-        return Verdict.nonspecial(edim(L), final.certificate)
-    if final.kind == MINUS_ONE_SPECIAL and ex.glue_steps:
-        return Verdict(
-            INCONCLUSIVE,
-            reason="-1-specialty does not transfer through glueing",
-        )
-    return final
+    if endpoint.certifies_nonspecial:
+        return Verdict.nonspecial(edim(L), steps + endpoint.certificate)
+    if endpoint.kind == MINUS_ONE_SPECIAL and any(s.op == "glue" for s in steps):
+        return Verdict(INCONCLUSIVE,
+                       reason="-1-specialty does not transfer through glueing")
+    return endpoint.prepend(steps)
 
 
 # ---------------------------------------------------------------------
@@ -248,18 +235,15 @@ def _map_to_original(L: LinearSystem, ex: Execution) -> Verdict:
 
 
 def _script_glue3(L: LinearSystem, cfg: EngineConfig,
-                  small_text: str) -> Execution:
+                  small_text: str) -> tuple[tuple[Step, ...], Verdict]:
     """Glue three points using the given small system, then standard form."""
-    small = parse_system(small_text)
-    cert = classify(small, cfg)
-    L2 = glue(L.canonical(), 3, small.mults[0], small.degree, cert)
-    std, chain = standard_form(L2)
-    v = classify_by_axioms(std.canonical())
+    steps: list[Step] = []
+    glued = _glue(L.canonical(), parse_system(small_text), cfg, steps)
+    std = _standard_form(glued, steps).canonical()
+    v = classify_by_axioms(std)
     if v is None:
-        raise ValueError(
-            f"the axioms leave the glued system {std.canonical()} unsettled")
-    return Execution(verdict=v, chain=[L, L2, *chain[1:]],
-                     glue_steps=[_glue_step(small, L, L2)])
+        raise ValueError(f"the axioms leave the glued system {std} unsettled")
+    return tuple(steps), v
 
 
 def dim_lower_bound_step(L: LinearSystem) -> LinearSystem | None:
@@ -271,29 +255,29 @@ def dim_lower_bound_step(L: LinearSystem) -> LinearSystem | None:
     return None
 
 
-def _script_degree_drop(L: LinearSystem, cfg: EngineConfig) -> Execution:
+def _script_degree_drop(L: LinearSystem,
+                        cfg: EngineConfig) -> tuple[tuple[Step, ...], Verdict]:
     """Settle L by certifying the degree-(d-1) system non-special."""
-    std, chain = standard_form(L)
+    steps: list[Step] = []
+    std = _standard_form(L, steps)
     dropped = dim_lower_bound_step(std)
     if dropped is None:
         raise ValueError("degree drop needs vdim(L(d-1;M)) >= -1")
+    steps.append(Step("degree_drop", {}, before=std, after=dropped))
+    _standard_form(dropped, steps)
     sub = classify(dropped, cfg)
     if not sub.certifies_nonspecial:
         sub = Verdict(INCONCLUSIVE, reason="degree-drop target not certified")
-    _, sub_chain = standard_form(dropped)
-    return Execution(verdict=sub, chain=[*chain, *sub_chain], glue_steps=[])
+    return tuple(steps), sub
 
 
-def _script_classify(L: LinearSystem, cfg: EngineConfig) -> Execution:
-    return Execution(verdict=classify(L, cfg), chain=[L], glue_steps=[])
-
-
-# a record's midpoints name the systems its script passes through
+# a script returns its own steps, starting at L, and the endpoint verdict;
+# a record's midpoints name the systems those steps pass through
 ADHOC_SCRIPTS = {
     "glue3-8": lambda L, cfg: _script_glue3(L, cfg, "L(15;8^3)"),
     "glue3-10": lambda L, cfg: _script_glue3(L, cfg, "L(19;10^3)"),
     "degree-drop": _script_degree_drop,
-    "classify": _script_classify,
+    "classify": lambda L, cfg: ((), classify(L, cfg)),
 }
 
 
@@ -332,37 +316,46 @@ def _expected_ok(entry: LedgerEntry, verdict: Verdict) -> tuple[bool, str | None
     return ok, None if ok else (verdict.reason or "inconclusive")
 
 
-def _check_midpoints(entry: LedgerEntry, params: dict,
-                     ex: Execution) -> str | None:
+def _check_midpoints(entry: LedgerEntry, params: dict, L: LinearSystem,
+                     steps: tuple[Step, ...]) -> str | None:
+    """Each midpoint must be L or a system the method's own steps name;
+    the endpoint's certificate and a glue's nested one do not count."""
     for mp in entry.midpoints:
         cond = {key: mp[key] for key in ("m", "k", "r") if key in mp}
         if all(params.get(key) == val for key, val in cond.items()):
+            passed = [L, *(x for s in steps for x in
+                           (s.before, s.after, *s.params.get("chain", ())))]
             for text in mp["systems"]:
-                if not ex.chain_contains(parse_system(text)):
+                want = parse_system(text)
+                if not any(want.same_as(x) for x in passed):
                     return f"missing expected intermediate {text}"
     return None
+
+
+def _settle(entry: LedgerEntry, L: LinearSystem,
+            cfg: EngineConfig) -> tuple[tuple[Step, ...], Verdict]:
+    """The steps of the record's method on L and the verdict it gives L."""
+    if entry.script:
+        steps, endpoint = ADHOC_SCRIPTS[entry.script](L, cfg)
+    elif entry.expect == "rank":
+        rank_cfg = EngineConfig(
+            field_cfg=cfg.field_cfg, max_cols=cfg.max_cols,
+            stages=("standard_form", "rank"),
+        )
+        return (), classify(L, rank_cfg)
+    else:
+        steps, endpoint = execute_method(
+            L, cfg, target_offset=entry.target_offset,
+            glues_per_phase=entry.glues_per_phase,
+            max_glues=entry.max_glues,
+        )
+    return steps, _map_to_original(L, steps, endpoint)
 
 
 def _run_instance(entry: LedgerEntry, L: LinearSystem, params: dict,
                   cfg: EngineConfig) -> InstanceResult:
     try:
-        if entry.script:
-            ex = ADHOC_SCRIPTS[entry.script](L, cfg)
-            verdict = _map_to_original(L, ex)
-        elif entry.expect == "rank":
-            rank_cfg = EngineConfig(
-                field_cfg=cfg.field_cfg, max_cols=cfg.max_cols,
-                stages=("standard_form", "rank"),
-            )
-            verdict = classify(L, rank_cfg)
-            ex = Execution(verdict=verdict, chain=[L], glue_steps=[])
-        else:
-            ex = execute_method(
-                L, cfg, target_offset=entry.target_offset,
-                glues_per_phase=entry.glues_per_phase,
-                max_glues=entry.max_glues,
-            )
-            verdict = _map_to_original(L, ex)
+        steps, verdict = _settle(entry, L, cfg)
     except (AssertionError, ValueError) as exc:
         return InstanceResult(system=str(L), params=params, ok=False,
                               kind="error", note=str(exc))
@@ -370,7 +363,7 @@ def _run_instance(entry: LedgerEntry, L: LinearSystem, params: dict,
     if ok and verdict.kind == NON_SPECIAL and verdict.dim != edim(L):
         ok, note = False, f"dim {verdict.dim} != edim {edim(L)}"
     if ok:
-        note = _check_midpoints(entry, params, ex)
+        note = _check_midpoints(entry, params, L, steps)
         ok = note is None
     return InstanceResult(system=str(L), params=params, ok=ok,
                           kind=verdict.kind, note=note)

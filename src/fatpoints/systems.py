@@ -11,7 +11,7 @@ final classification, and the glueing bookkeeping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagrams import Diagram
 
@@ -101,12 +101,30 @@ def format_system(L: LinearSystem) -> str:
     return f"L({L.degree};{','.join(parts)})"
 
 
-@dataclass(frozen=True)
+class _ReadOnlyParams(dict):
+    """A step's params: a dict that refuses every write."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a step's params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # pickle and copy rebuild it, not write into it
+        return _ReadOnlyParams, (dict(self),)
+
+
+@dataclass(frozen=True, init=False)
 class Step:
     """One replayable derivation step: an operation with its parameters.
 
     ``before``, ``after`` and the params hold the frozen systems and
     diagrams the step names (a chain is a tuple of them), not their text.
+    The params are a read-only copy of the mapping given, and producers
+    give tuples, not lists, so a returned certificate cannot be rewritten.
+    The constructor writes the fields directly, as ``_derived`` does, so
+    a step with the copy costs no more than the generated frozen
+    ``__init__`` cost without it.
     ``to_dict`` makes the text when a certificate is serialized; the
     objects are frozen, so it is the text they had when the step was
     taken.  Steps, and the verdicts holding them, hash through that text,
@@ -114,9 +132,18 @@ class Step:
     """
 
     op: str
-    params: dict = field(default_factory=dict)
+    params: dict
     before: LinearSystem | Diagram | None = None
     after: LinearSystem | Diagram | None = None
+
+    def __init__(self, op: str, params=(),
+                 before: LinearSystem | Diagram | None = None,
+                 after: LinearSystem | Diagram | None = None) -> None:
+        fields = self.__dict__  # written directly: the frozen __setattr__ refuses
+        fields["op"] = op
+        fields["params"] = _ReadOnlyParams(params)
+        fields["before"] = before
+        fields["after"] = after
 
     def to_dict(self) -> dict:
         """The step as JSON-ready data: systems and diagrams as their
@@ -131,6 +158,8 @@ class Step:
 def _text(x):
     if isinstance(x, (LinearSystem, Diagram)):
         return str(x)
+    if isinstance(x, Step):  # a glue step's certificate of its small system
+        return x.to_dict()
     if isinstance(x, (list, tuple)):
         return [_text(y) for y in x]
     if isinstance(x, dict):
@@ -298,7 +327,7 @@ def classify_by_axioms(L: LinearSystem) -> Verdict | None:
     else:
         return None
     e = edim(L)
-    step = Step("axiom", {"axioms": list(axioms), "edim": e}, before=L)
+    step = Step("axiom", {"axioms": axioms, "edim": e}, before=L)
     return Verdict.nonspecial(e, (step,))
 
 
@@ -347,5 +376,7 @@ def glue(
             "SANDWICH_VIOLATED", f"vdim {v1} -> {v2} fits neither ordering"
         )
     small = LinearSystem(k, (m,) * s)
-    assert v2 - v1 == -(vdim(small) + 1)
+    if v2 - v1 != -(vdim(small) + 1):  # raised, not asserted: holds under -O
+        raise AssertionError(f"glue broke vdim L2 - vdim L = -(vdim {small} + 1): "
+                             f"vdim {v1} -> {v2}")
     return L2

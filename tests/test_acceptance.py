@@ -254,11 +254,11 @@ def test_criterion_8_property_suites():
         # glue steps executed by the ledger method honour the dimension
         # bookkeeping identity
         L = parse_system("L(29;12,7^9)")
-        ex = execute_method(L, EngineConfig())
-        assert ex.glue_steps
-        for g in ex.glue_steps:
-            small = LinearSystem(g["k"], (g["m"],) * g["s"])
-            assert g["vdim_after"] - g["vdim_before"] == -(vdim(small) + 1)
+        steps, _ = execute_method(L, EngineConfig())
+        glues = [s for s in steps if s.op == "glue"]
+        assert glues
+        for g in glues:
+            assert vdim(g.after) - vdim(g.before) == -(vdim(g.params["small"]) + 1)
         # the plain-text grammars round-trip
         for _ in range(2_000):
             x = _random_system(rng).canonical()

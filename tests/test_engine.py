@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from fatpoints import systems
+from fatpoints import fplinalg, systems
 from fatpoints.diagrams import triangle
 from fatpoints.engine import (
     ALL_STAGES,
@@ -133,6 +133,27 @@ class TestClassify:
         cfg = EngineConfig(stages=("rank",), max_cols=10)
         v = classify(parse_system("L(9;1)"), cfg)
         assert v.kind == INCONCLUSIVE and "cap" in v.reason
+
+
+    def test_oversized_rank_matrix_is_inconclusive(self, monkeypatch):
+        # with the heaviest point at the origin, 1,000 points of
+        # multiplicity 12 on degree 61 leave a matrix of up to
+        # 77,922 x 1,875 (1.2 GB of int64); the stage ends before building it
+        def trap(*args, **kwargs):
+            raise AssertionError("build_matrix was called")
+
+        monkeypatch.setattr(fplinalg, "build_matrix", trap)
+        v = classify(parse_system("L(61;12^1000)"), EngineConfig(stages=("rank",)))
+        assert v.kind == INCONCLUSIVE
+        assert v.reason == "matrix would be 77922x1875 (cap 2000^2 entries)"
+
+    def test_entry_cap_applies_to_each_candidate(self):
+        # the whole matrix of L(61;12^60) is over the cap; the reduced
+        # matrix, 2,808 rows by 81 columns, is tried first and settles it
+        v = classify(parse_system("L(61;12^60)"))
+        assert v.kind == EMPTY
+        step = v.certificate[-1]
+        assert (step.op, step.params["rows"], step.params["cols"]) == ("rank", 2808, 81)
 
 
 class TestClassifySpace:

@@ -2,16 +2,25 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import fatpoints
+from fatpoints import ledger
+from fatpoints.diagrams import triangle
 from fatpoints.engine import EngineConfig, classify
+from fatpoints.initial_cases import FamilySpec, run_initial_cases
 from fatpoints.ledger import (
     ADHOC_SCRIPTS,
-    Execution,
     LedgerEntry,
     _entry_from_record,
     _m_values,
@@ -24,7 +33,15 @@ from fatpoints.ledger import (
     run_ledger,
     verify_entry,
 )
-from fatpoints.systems import EMPTY, INCONCLUSIVE, NON_SPECIAL, Verdict, edim, vdim
+from fatpoints.systems import (
+    EMPTY,
+    INCONCLUSIVE,
+    NON_SPECIAL,
+    LinearSystem,
+    Verdict,
+    edim,
+    vdim,
+)
 from fatpoints.textio import parse_system
 
 
@@ -108,6 +125,42 @@ class TestLoaderChecks:
         (failure,) = verify_entry(altered).failures
         assert failure.note == f"missing expected intermediate {bad}"
 
+    def test_altered_method_midpoint_fails(self):
+        entry = next(e for e in entries() if e.id == "GLUE_CREMONAS")
+        assert not verify_entry(entry, 12, 16, 9).failures
+        mp = entry.midpoints[0]
+        assert (mp["k"], mp["r"], mp["systems"][1]) == (16, 9, "L(20;7,6^5,1)")
+        altered = dataclasses.replace(entry, midpoints=[
+            {**mp, "systems": [mp["systems"][0], "L(20;7,6^5,2)"]}])
+        (failure,) = verify_entry(altered, 12, 16, 9).failures
+        assert failure.params == {"m": 12, "k": 16, "r": 9}
+        assert failure.note == "missing expected intermediate L(20;7,6^5,2)"
+
+    @pytest.mark.parametrize("system", [
+        "L(1;2)",  # the stripped system of the endpoint's strip_negative step
+        "L(0;2)",  # in the certificate of the glue's small system
+    ])
+    def test_midpoint_outside_the_method_steps_fails(self, system):
+        # the endpoint's own certificate and a glue's nested one are not
+        # steps of the method, so their systems are no midpoints
+        entry = next(e for e in entries() if e.system == "L(34;13,10^10)")
+        ((_, L),) = iter_instances(entry)
+        _, verdict = ledger._settle(entry, L, EngineConfig())
+        texts = {str(x.canonical()) for s in verdict.certificate for x in _systems_in(s)}
+        assert system in texts
+        altered = dataclasses.replace(entry, midpoints=[{"systems": [system]}])
+        (failure,) = verify_entry(altered).failures
+        assert failure.note == f"missing expected intermediate {system}"
+
+
+def _systems_in(step):
+    """The systems a step names, those of its nested certificate included."""
+    for x in (step.before, step.after, *step.params.get("chain", ())):
+        if isinstance(x, LinearSystem):
+            yield x
+    for inner in step.params.get("certificate", ()):
+        yield from _systems_in(inner)
+
 
 class TestCoverage:
     def test_every_cell_is_covered(self):
@@ -148,21 +201,22 @@ class TestCoverage:
 class TestExecute:
     def test_glue_bookkeeping_identity(self):
         L = parse_system("L(29;12,7^9)")
-        ex = execute_method(L, EngineConfig())
-        assert ex.glue_steps
-        for g in ex.glue_steps:
-            small = parse_system(f"L({g['k']};{g['m']}^{g['s']})")
-            assert g["vdim_after"] - g["vdim_before"] == -(vdim(small) + 1)
+        steps, _ = execute_method(L, EngineConfig())
+        glues = [s for s in steps if s.op == "glue"]
+        assert glues
+        for g in glues:
+            small = g.params["small"]
+            assert vdim(g.after) - vdim(g.before) == -(vdim(small) + 1)
 
     def test_chain_starts_at_input(self):
         L = parse_system("L(29;12,7^9)")
-        ex = execute_method(L, EngineConfig())
-        assert ex.chain[0] == L
+        steps, _ = execute_method(L, EngineConfig())
+        assert steps[0].before == L
 
     def test_max_glues_zero_forbids_glueing(self):
         L = parse_system("L(29;12,7^9)")
-        ex = execute_method(L, EngineConfig(), max_glues=0)
-        assert ex.glue_steps == []
+        steps, _ = execute_method(L, EngineConfig(), max_glues=0)
+        assert all(s.op != "glue" for s in steps)
 
 
 class TestVerify:
@@ -213,8 +267,7 @@ class TestVerify:
         assert classify(L).conclusive
 
         def stalled(L, cfg, **kwargs):
-            return Execution(verdict=Verdict(INCONCLUSIVE, reason="stalled"),
-                             chain=[L], glue_steps=[])
+            return (), Verdict(INCONCLUSIVE, reason="stalled")
 
         monkeypatch.setattr("fatpoints.ledger.execute_method", stalled)
         entry = next(
@@ -234,26 +287,105 @@ class TestVerify:
         assert not result.ok and result.kind == "error"
         assert "axioms leave the glued system" in result.note
 
+    def test_broken_glue_identity_is_an_error_without_asserts(self):
+        # python -O strips assert statements; glue raises on a broken
+        # vdim identity, and the instance fails as an error: the method
+        # does not take it for a failed precondition and fall back to the
+        # engine
+        script = (
+            "from fatpoints import systems\n"
+            "from fatpoints.ledger import load_entries, verify_entry\n"
+            "real = systems.vdim\n"
+            "systems.vdim = lambda L: real(L) + (L.mults == (9, 9, 9, 9))\n"
+            "entry = next(e for e in load_entries() if e.system == 'L(32;13,9^11)')\n"
+            "(result,) = verify_entry(entry).results\n"
+            "print(result.ok, result.kind, result.note)\n"
+        )
+        src = str(Path(fatpoints.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("False error glue broke vdim L2 - vdim L"), \
+            proc.stdout
+
     def test_degree_drop_below_vdim_minus_one(self):
         with pytest.raises(ValueError, match="degree drop needs"):
             _script_degree_drop(parse_system("L(13;5,4^9)"), EngineConfig())
 
 
-def test_engine_agrees_with_every_ledger_method():
+@pytest.fixture(scope="module")
+def grid():
+    """run_ledger(20, 40, 16), with the (system, verdict) pair of every
+    instance in the order the replay settles them."""
+    settled = []
+    settle = ledger._settle
+
+    def recording(entry, L, cfg):
+        steps, verdict = settle(entry, L, cfg)
+        settled.append((L, verdict))
+        return steps, verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ledger, "_settle", recording)
+        report = run_ledger(20, 40, 16)
+    return report, settled
+
+
+def test_engine_agrees_with_every_ledger_method(grid):
     # a differential oracle: classify settles each instance on its own,
     # with the kind its declared method gives and dim edim (the dim every
     # passing instance has); a disagreement is a bug in one of the two
+    report, settled = grid
+    assert not report.failures, report.failures[:3]
+    instances = [(e.id, params, L) for e in entries()
+                 for params, L in iter_instances(e, 20, 40, 16)]
+    assert len(instances) == len(settled) == report.instantiations
     kinds = defaultdict(int)
-    for e in entries():
-        rep = verify_entry(e, 20, 40, 16)
-        instances = list(iter_instances(e, 20, 40, 16))
-        assert len(instances) == len(rep.results)
-        for (params, L), res in zip(instances, rep.results):
-            assert res.ok and res.system == str(L), (e.id, params, res.note)
-            direct = classify(L)
-            assert (direct.kind, direct.dim) == (res.kind, edim(L)), (e.id, params)
-            kinds[res.kind] += 1
+    for (eid, params, L), (settled_L, verdict) in zip(instances, settled):
+        assert settled_L == L
+        direct = classify(L)
+        assert (direct.kind, direct.dim) == (verdict.kind, edim(L)), (eid, params)
+        kinds[verdict.kind] += 1
     assert dict(kinds) == {EMPTY: 3694, NON_SPECIAL: 3102}
+
+
+def test_certificates_start_at_the_instance(grid):
+    # a ledger verdict's certificate is the method's own steps, then the
+    # endpoint's: its first system is the instance, and where no step
+    # names a system (a rank or reduction certificate) the first step is
+    # on the instance's own triangle
+    for L, verdict in grid[1]:
+        assert verdict.certificate, str(L)
+        named = [x for s in verdict.certificate for x in (s.before, s.after)
+                 if isinstance(x, LinearSystem)]
+        if named:
+            assert named[0].same_as(L), (str(L), str(named[0]))
+        else:
+            assert verdict.certificate[0].before == triangle(L.degree + 1), str(L)
+        for g in (s for s in verdict.certificate if s.op == "glue"):
+            assert vdim(g.after) - vdim(g.before) == -(vdim(g.params["small"]) + 1)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_report_bytes_are_pinned(grid):
+    # the family and ledger reports, and every ledger certificate on the
+    # (20, 40, 16) grid, byte for byte
+    family = run_initial_cases(FamilySpec(5, 10, 1)).to_json()
+    assert _sha256(family) == (
+        "347d0c65b92021a4e966a5dd900d410ade073fcb5ea254b9159538a9ee9d6c54")
+    report, settled = grid
+    assert _sha256(json.dumps(report.to_dict(), sort_keys=True)) == (
+        "af11bb44d27459c5ceab12164eb7880fc79a16bb523f295726b75e4451afa70d")
+    lines = sorted(f"{L} {v.kind} {v.dim} "
+                   f"{json.dumps([s.to_dict() for s in v.certificate], sort_keys=True)}"
+                   for L, v in settled)
+    assert _sha256("\n".join(lines)) == (
+        "587a2c125303a8e85e23cd288232601d69fc8206233e09ac32ddf3e534302d3c")
 
 
 class TestDegreeDrop:

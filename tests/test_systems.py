@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 
 import numpy as np
@@ -313,6 +315,36 @@ class TestVerdictHash:
                              "before='D', after=None)")
 
 
+class TestReadOnlyParams:
+    """A returned certificate cannot be rewritten through a step's params."""
+
+    def test_writes_raise(self):
+        v = classify(parse_system("L(10;4^4)"))
+        step = v.certificate[-1]
+        text, h = json.dumps([s.to_dict() for s in v.certificate]), hash(v)
+        writes = [lambda p: p.__setitem__("edim", 99), lambda p: p.__delitem__("edim"),
+                  lambda p: p.update(edim=99), lambda p: p.__ior__({"edim": 99}),
+                  lambda p: p.setdefault("new", 1), lambda p: p.pop("edim"),
+                  lambda p: p.popitem(), lambda p: p.clear()]
+        for write in writes:
+            with pytest.raises(TypeError, match="read-only"):
+                write(step.params)
+        assert step.params["edim"] != 99 and isinstance(step.params["axioms"], tuple)
+        assert json.dumps([s.to_dict() for s in v.certificate]) == text
+        assert hash(v) == h
+
+    def test_params_are_a_copy_of_the_mapping_given(self):
+        given = {"rows": 3}
+        step = Step("rank", given)
+        given["rows"] = 4
+        assert step.params == {"rows": 3}
+
+    def test_verdicts_pickle_and_copy(self):
+        v = classify(parse_system("L(32;12,10^9)"))
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert copy.deepcopy(v) == v and copy.copy(v.certificate[0]) == v.certificate[0]
+
+
 class TestStepText:
     CHAIN = (L(5, 3, 3, 2), L(3, 1, 1, 2), L(3, 2, 1, 1))
 
@@ -328,6 +360,12 @@ class TestStepText:
         enlarge = Step("enlarge", {"to": triangle(10)}, before=Diagram((1, 2, 3, 1)))
         assert enlarge.to_dict() == {"op": "enlarge", "params": {"to": "(~10)"},
                                      "before": "(~3,1)", "after": None}
+
+    def test_to_dict_gives_a_nested_certificate_as_steps(self):
+        cert = classify(parse_system("L(17;9^4)")).certificate
+        step = Step("glue", {"small": L(17, 9, 9, 9, 9), "certificate": cert})
+        assert step.to_dict()["params"] == {
+            "small": "L(17;9^4)", "certificate": [s.to_dict() for s in cert]}
 
     def test_to_dict_returns_fresh_containers(self):
         step = Step("reduce_chain", {"mults": [4, 4], "residual": (3,),
