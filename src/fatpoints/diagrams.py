@@ -15,15 +15,7 @@ from math import comb
 
 
 class InvalidLayerError(ValueError):
-    """A layer size exceeds its index (code INVALID_LAYER)."""
-
-    code = "INVALID_LAYER"
-
-
-class TooShortError(ValueError):
-    """A diagram has fewer layers than the reduction needs (code TOO_SHORT)."""
-
-    code = "TOO_SHORT"
+    """A layer size exceeds its index."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,8 @@ def p_of(D: Diagram, m: int) -> int:
 def reduce_m(D: Diagram, m: int) -> tuple[Diagram, tuple[int, ...]] | None:
     """One m-reduction of the last m layers, or None if irreducible.
 
-    Going down from j = m to 1 over the last m layers (a1,...,am):
+    A diagram with fewer than m layers is irreducible.  Otherwise, going
+    down from j = m to 1 over the last m layers (a1,...,am):
     vj = aj when aj < m and max Vj >= aj, else vj = max Vj, with
     Vm = {1,...,m} and V(j-1) = Vj minus {vj}.  The reduction exists iff
     every vj can actually be removed from its Vj, and then removes
@@ -130,7 +123,7 @@ def reduce_m(D: Diagram, m: int) -> tuple[Diagram, tuple[int, ...]] | None:
     if m < 1:
         raise ValueError("reduce_m needs m >= 1")
     if D.nlayers < m:
-        raise TooShortError(f"{D} has {D.nlayers} layers, needs {m}")
+        return None
     tail = list(D.layers[-m:])
     avail = set(range(1, m + 1))
     v = [0] * m
@@ -189,10 +182,7 @@ def reduce_chain(D: Diagram, mults) -> ReductionTrace:
     for i, m in enumerate(seq):
         if m == 0:
             continue
-        try:
-            res = reduce_m(cur, m)
-        except TooShortError:
-            res = None
+        res = reduce_m(cur, m)
         if res is None:
             return ReductionTrace(D, tuple(steps), tuple(seq[i:]))
         cur, v = res
@@ -206,23 +196,14 @@ def subset(D: Diagram, D2: Diagram) -> bool:
     return len(a) <= len(b) and all(x <= y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class EnlargeCertificate:
-    """Emptiness by monotonicity: D fits inside a triangle whose space
-    with the same conditions reduces to the empty diagram."""
-
-    original: Diagram
-    enlarged: Diagram
-    trace: ReductionTrace
-
-
-def try_empty_by_enlarge(D: Diagram, mults) -> EnlargeCertificate | None:
+def try_empty_by_enlarge(D: Diagram, mults) -> ReductionTrace | None:
     """Search minimal containing triangles certifying V(D; mults) = 0.
 
     If D fits in a triangle (~t) whose reduction chain with the given
     multiplicities consumes every condition and empties the diagram,
     then dim V((~t); mults) = 0 and by subset monotonicity V(D; mults)
-    is the zero space.
+    is the zero space.  Returns that chain's trace, whose ``initial`` is
+    the triangle, or None.
     """
     mults = [m for m in mults if m > 0]
     conditions = sum(comb(m + 1, 2) for m in mults)
@@ -240,5 +221,5 @@ def try_empty_by_enlarge(D: Diagram, mults) -> EnlargeCertificate | None:
         return None
     trace = reduce_chain(tri, mults)
     if trace.consumed_all and trace.final.cells == 0:
-        return EnlargeCertificate(D, tri, trace)
+        return trace
     return None

@@ -32,7 +32,7 @@ from .systems import (
     Step,
     Verdict,
     classify_by_axioms,
-    standard_form,
+    record_standard_form,
     strip_negative_mults,
 )
 
@@ -47,7 +47,7 @@ _MAX_DEPTH = 200
 @dataclass(frozen=True)
 class EngineConfig:
     """Rank field, column cap and enabled stages of a classification;
-    a stage name outside ``ALL_STAGES`` is a ValueError.  The rank stage
+    an unknown stage or a cap below 1 is a ValueError.  The rank stage
     builds no matrix of more than ``max_cols`` columns or ``max_cols**2``
     entries (see ``fplinalg.matrix_shape``).
 
@@ -63,6 +63,8 @@ class EngineConfig:
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ValueError(f"unknown stages: {','.join(sorted(unknown))}")
+        if self.max_cols < 1:
+            raise ValueError("max_cols must be >= 1")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -76,9 +78,7 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
     steps: list[Step] = []
     cur = L
     if "standard_form" in cfg.stages:
-        cur, chain = standard_form(L)
-        if len(chain) > 1:
-            steps.append(Step("standard_form", {"chain": chain}, before=L, after=cur))
+        cur = record_standard_form(L, steps)
         if cur.degree < 0:
             return Verdict(EMPTY, -1, (*steps, Step("negative_degree", {}, before=cur)))
     if "negative" in cfg.stages and cur.degree >= 0 and min(cur.mults, default=0) < 0:
@@ -138,12 +138,12 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
             return Verdict(NON_SPECIAL, dim=trace.final.cells,
                            certificate=(_reduction_step(trace),))
         if vs <= 0:
-            cert = try_empty_by_enlarge(trace.final, trace.residual_mults)
-            if cert is not None:
+            enlarged = try_empty_by_enlarge(trace.final, trace.residual_mults)
+            if enlarged is not None:
                 steps = (_reduction_step(trace),
-                         Step("enlarge", {"to": cert.enlarged},
-                              before=cert.original),
-                         _reduction_step(cert.trace))
+                         Step("enlarge", {"to": enlarged.initial},
+                              before=trace.final),
+                         _reduction_step(enlarged))
                 return Verdict(NON_SPECIAL, dim=0, certificate=steps)
     if "rank" in cfg.stages:
         if D.cells > cfg.max_cols:

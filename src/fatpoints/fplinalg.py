@@ -109,9 +109,7 @@ assert 2**FOLD_REDUCE * P_LIMIT < 2**63
 
 
 class DegeneratePointsError(ValueError):
-    """Raised when interpolation points repeat (code DEGENERATE)."""
-
-    code = "DEGENERATE"
+    """Raised when interpolation points repeat."""
 
 
 def _is_prime(n: int) -> bool:
@@ -362,12 +360,12 @@ def certify_nonspecial_rank(
         raise ValueError("certify_nonspecial_rank needs multiplicities >= 1")
     cols = D.cells
     rows = sum(comb(m + 1, 2) for m in mults)
-    if key is None:
-        key = f"{D}|{','.join(map(str, mults))}"
-    rng = task_rng(cfg, key)
     if not mults:
         step = Step("rank", {"rows": 0, "cols": cols, "rank": 0}, before=D)
         return Verdict(NON_SPECIAL, dim=cols, certificate=(step,))
+    if key is None:
+        key = f"{D}|{','.join(map(str, mults))}"
+    rng = task_rng(cfg, key)
     for attempt in range(1, cfg.attempts + 1):
         pts = sample_points(len(mults), cfg.p, rng)
         rk = interpolation_rank(D, mults, pts, cfg.p)

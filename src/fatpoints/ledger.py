@@ -36,7 +36,7 @@ from .systems import (
     classify_by_axioms,
     edim,
     glue,
-    standard_form,
+    record_standard_form,
     vdim,
 )
 from .textio import parse_system
@@ -52,9 +52,9 @@ class LedgerEntry:
     anchor: str
     index: int
     tail: int | None = None
-    k_spec: object = None
-    r_spec: object = None
-    m_spec: object = None
+    k: object = None
+    r: object = None
+    m: object = None
     system: str | None = None
     script: str | None = None
     glues_per_phase: int = 1
@@ -68,11 +68,8 @@ class LedgerEntry:
         return self.system is not None
 
 
-# JSON key -> LedgerEntry field; only k, r and m are renamed
-_FIELD_OF = {
-    {"k_spec": "k", "r_spec": "r", "m_spec": "m"}.get(f.name, f.name): f.name
-    for f in fields(LedgerEntry) if f.name != "index"
-}
+# a record's keys are the LedgerEntry fields but the line index
+_KEYS = {f.name for f in fields(LedgerEntry)} - {"index"}
 # keys a range object may carry; k and r may also be an int or a list of ints
 _RANGE_KEYS = {"k": {"ge", "le"}, "r": {"ge", "le"}, "m": {"ge", "ne"}}
 
@@ -87,7 +84,7 @@ def _range_ok(key: str, spec: object) -> bool:
 def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
     """Build the entry of the record on 0-based line `index`."""
     where = f"{DATA_RESOURCE} line {index + 1}"
-    unknown = sorted(set(rec) - set(_FIELD_OF))
+    unknown = sorted(set(rec) - _KEYS)
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
     required = ("id", "anchor") + (() if "system" in rec else ("tail", "k", "r"))
@@ -100,7 +97,7 @@ def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
     for key in _RANGE_KEYS:
         if key in rec and not _range_ok(key, rec[key]):
             raise ValueError(f"{where}: bad {key} range {json.dumps(rec[key])}")
-    entry = LedgerEntry(index=index, **{_FIELD_OF[k]: v for k, v in rec.items()})
+    entry = LedgerEntry(index=index, **rec)
     if entry.expect not in EXPECTS:
         raise ValueError(f"{where}: unknown expect {entry.expect!r}")
     if entry.script is not None and entry.script not in ADHOC_SCRIPTS:
@@ -125,7 +122,7 @@ def _values(spec: object, lo_default: int, hi_cap: int) -> list[int]:
 
 def _m_values(entry: LedgerEntry, m_min: int, m_max: int) -> tuple[list[int], list[int]]:
     """Instantiable m values and excluded (skipped-and-flagged) values."""
-    spec = entry.m_spec or {}
+    spec = entry.m or {}
     lo = max(m_min, spec.get("ge", 12))
     excluded = [m for m in spec.get("ne", []) if lo <= m <= m_max]
     values = [m for m in range(lo, m_max + 1) if m not in spec.get("ne", [])]
@@ -143,15 +140,6 @@ def instantiate(entry: LedgerEntry, m: int | None = None, k: int | None = None,
 
 # ---------------------------------------------------------------------
 # generic method executor
-
-
-def _standard_form(L: LinearSystem, steps: list[Step]) -> LinearSystem:
-    """The standard form of L; a chain of two or more systems is recorded
-    as a step, as the engine records it."""
-    std, chain = standard_form(L)
-    if len(chain) > 1:
-        steps.append(Step("standard_form", {"chain": chain}, before=L, after=std))
-    return std
 
 
 def _glue(L: LinearSystem, small: LinearSystem, cfg: EngineConfig,
@@ -187,7 +175,7 @@ def execute_method(
     glues = 0
     cur = L
     for _ in range(24):
-        cur = _standard_form(cur, steps)
+        cur = record_standard_form(cur, steps)
         if cur.degree < 0 or any(x < 0 for x in cur.mults):
             return tuple(steps), classify(cur, cfg)
         canon = cur.canonical()
@@ -239,7 +227,7 @@ def _script_glue3(L: LinearSystem, cfg: EngineConfig,
     """Glue three points using the given small system, then standard form."""
     steps: list[Step] = []
     glued = _glue(L.canonical(), parse_system(small_text), cfg, steps)
-    std = _standard_form(glued, steps).canonical()
+    std = record_standard_form(glued, steps).canonical()
     v = classify_by_axioms(std)
     if v is None:
         raise ValueError(f"the axioms leave the glued system {std} unsettled")
@@ -259,12 +247,12 @@ def _script_degree_drop(L: LinearSystem,
                         cfg: EngineConfig) -> tuple[tuple[Step, ...], Verdict]:
     """Settle L by certifying the degree-(d-1) system non-special."""
     steps: list[Step] = []
-    std = _standard_form(L, steps)
+    std = record_standard_form(L, steps)
     dropped = dim_lower_bound_step(std)
     if dropped is None:
         raise ValueError("degree drop needs vdim(L(d-1;M)) >= -1")
     steps.append(Step("degree_drop", {}, before=std, after=dropped))
-    _standard_form(dropped, steps)
+    record_standard_form(dropped, steps)
     sub = classify(dropped, cfg)
     if not sub.certifies_nonspecial:
         sub = Verdict(INCONCLUSIVE, reason="degree-drop target not certified")
@@ -376,8 +364,8 @@ def iter_instances(entry: LedgerEntry, m_max: int = 20, k_max: int = 60,
         return
     ms, _excluded = _m_values(entry, 12, m_max)
     for m in ms:
-        for k in _values(entry.k_spec, 0, k_max):
-            for r in _values(entry.r_spec, 9, r_max):
+        for k in _values(entry.k, 0, k_max):
+            for r in _values(entry.r, 9, r_max):
                 yield {"m": m, "k": k, "r": r}, instantiate(entry, m, k, r)
 
 

@@ -271,6 +271,15 @@ def standard_form(L: LinearSystem) -> tuple[LinearSystem, tuple[LinearSystem, ..
     return cur, tuple(chain)
 
 
+def record_standard_form(L: LinearSystem, steps: list[Step]) -> LinearSystem:
+    """The standard form of L; a chain of two or more systems is appended
+    to `steps` as one ``standard_form`` step."""
+    std, chain = standard_form(L)
+    if len(chain) > 1:
+        steps.append(Step("standard_form", {"chain": chain}, before=L, after=std))
+    return std
+
+
 # ---------------------------------------------------------------------
 # negative multiplicity rules
 

@@ -77,6 +77,8 @@ class TestUsageErrors:
         (["rank", "L(4;2^5)", "--mults", "2"], "give SYSTEM or --diagram/--mults, not both"),
         (["rank", "L(4;2^5)", "--diagram", "(~3)", "--mults", "2"],
          "give SYSTEM or --diagram/--mults, not both"),
+        (["classify", "--max-cols", "-1", "--stages", "rank", "L(5;2^3)"],
+         "max_cols must be >= 1"),
     ])
     def test_bad_values(self, args, message):
         r = run(*args)

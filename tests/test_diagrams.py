@@ -8,7 +8,6 @@ from cells import monomials
 from fatpoints.diagrams import (
     Diagram,
     InvalidLayerError,
-    TooShortError,
     bar,
     diagram,
     format_diagram,
@@ -90,8 +89,7 @@ class TestReduceM:
         assert reduce_m(Diagram((1, 1)), 2) is None
 
     def test_too_short(self):
-        with pytest.raises(TooShortError):
-            reduce_m(triangle(3), 5)
+        assert reduce_m(triangle(3), 5) is None
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
@@ -121,10 +119,10 @@ class TestSubsetAndEnlarge:
         assert subset(diagram(1, 2, 0, 0), diagram(1, 2))
 
     def test_enlarge_success(self):
-        cert = try_empty_by_enlarge(diagram(1, 2), (2,))
-        assert cert is not None
-        assert cert.enlarged == triangle(2)
-        assert cert.trace.consumed_all and cert.trace.final.cells == 0
+        trace = try_empty_by_enlarge(diagram(1, 2), (2,))
+        assert trace is not None
+        assert trace.initial == triangle(2)
+        assert trace.consumed_all and trace.final.cells == 0
 
     def test_enlarge_fails_when_conditions_below_cells(self):
         assert try_empty_by_enlarge(triangle(3), (2,)) is None

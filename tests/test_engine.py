@@ -129,6 +129,11 @@ class TestClassify:
         with pytest.raises(ValueError, match="unknown stages: rnak"):
             EngineConfig(stages=("standard_form", "rnak"))
 
+    @pytest.mark.parametrize("max_cols", [0, -1])
+    def test_column_cap_below_one_is_rejected_at_construction(self, max_cols):
+        with pytest.raises(ValueError, match="max_cols must be >= 1"):
+            EngineConfig(max_cols=max_cols)
+
     def test_column_cap(self):
         cfg = EngineConfig(stages=("rank",), max_cols=10)
         v = classify(parse_system("L(9;1)"), cfg)

@@ -23,6 +23,7 @@ assert len(fp.load_entries()) == 143
 report = fp.run_initial_cases(fp.FamilySpec(7, 13, 5), cfg=fp.PrimeFieldConfig(),
                               enumeration_only=True)
 assert report.result == "OK"
+fp.classify(fp.parse_system("L(3;)"), fp.EngineConfig(stages=("rank",)))
 print(" ".join(m for m in ("numpy", "fatpoints._gauss", "multiprocessing")
                if m in sys.modules))
 print(fp.rank([[1, 2], [3, 4]]), "numpy" in sys.modules)

@@ -76,8 +76,8 @@ class TestLoaderChecks:
     def test_record_loads_straight_into_entry(self):
         rec = {**FAMILY, "m": {"ge": 13}, "max_glues": 2}
         assert _entry_from_record(rec, 4) == LedgerEntry(
-            id="GLUE", anchor="glueing", index=4, tail=7, k_spec=[22],
-            r_spec=[9], m_spec={"ge": 13}, max_glues=2,
+            id="GLUE", anchor="glueing", index=4, tail=7, k=[22],
+            r=[9], m={"ge": 13}, max_glues=2,
         )
 
     @pytest.mark.parametrize("rec, message", [
@@ -192,8 +192,8 @@ class TestCoverage:
                 continue
             _, excluded = _m_values(e, 12, 20)
             for m in excluded:
-                flagged[(e.id, e.tail, tuple(e.k_spec) if
-                         isinstance(e.k_spec, list) else e.k_spec, m)] = True
+                flagged[(e.id, e.tail, tuple(e.k) if
+                         isinstance(e.k, list) else e.k, m)] = True
         assert ("CREMONA_EVEN_GLUE_CREMONAS", 10, (19,), 17) in flagged
         assert ("CREMONA_ODD_GLUE_CREMONAS", 10, (19,), 16) in flagged
 
