@@ -33,11 +33,20 @@ each half in H below 2^16. Each update is one float64 product over the
 2·PANEL = 64 terms, each below 2^16·2^31, plus one residue: that stays
 below ``64·(2^31−2)·(2^16−1) + 2^31 < 2^53``. So every partial sum is an
 exact integer whatever the BLAS summation order or thread count; it is
-added to the residue in int64 and reduced there. M comes from one int64
-product: |C| ≤ p − 1 and B⁻¹ is kept in balanced residues, |B⁻¹| ≤
-(p − 1)/2, so a sum of b ≤ BLOCK products stays below
+added to the entry in int64, which is reduced as below. M comes from one
+int64 product: |C| ≤ p − 1 and B⁻¹ is kept in balanced residues,
+|B⁻¹| ≤ (p − 1)/2, so a sum of b ≤ BLOCK products stays below
 ``BLOCK·(p − 1)^2/2 < 2^63``, the bound asserted at import; for b = 1
 it is below 2^61.
+
+The trailing block is not reduced after each panel's GEMMs. The kernel
+reads S only through a step's ``Ct`` and ``P``, and reduces both mod p
+on every step, so every residue that reaches U, H, M or a pivot test
+lies in [0, p). A trailing update adds a nonnegative integer below 2^53
+to each entry, so the block is reduced once every TRAIL_REDUCE updates:
+an entry read by a step then holds a residue plus at most
+TRAIL_REDUCE − 1 trailing updates plus the step's own, which stays below
+``TRAIL_REDUCE·2^53 + 2^31 < 2^63``, the bound asserted at import.
 
 The rank does not depend on which pivots are chosen, so the result is
 the same as that of the scalar reference ``_rank_mod_p_scalar``, which
@@ -68,6 +77,10 @@ CHUNK = 128
 _HALF = 1 << 16
 # 2·PANEL products (p−1)·(2^16−1) plus one residue stay below 2^53
 assert 2 * PANEL * (P_LIMIT - 2) * (_HALF - 1) + P_LIMIT - 2 < 2**53
+# trailing updates between reductions of the trailing block, the most
+# the bound below allows (see "Exactness" in the docstring)
+TRAIL_REDUCE = 1023
+assert TRAIL_REDUCE * 2**53 + P_LIMIT < 2**63
 # pivots taken in one step when their leading block is invertible, else
 # one; ``_inverse4`` is written for this size
 BLOCK = 4
@@ -122,6 +135,7 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     A = A[np.argsort((A != 0).argmax(axis=1), kind="stable")]
     A %= p
     r = 0
+    grown = 0  # trailing updates since the trailing block was last reduced
     h = p >> 1  # (x + h) % p - h is the residue of x in [-h, h]
     bscale = np.array([(-1 << 16) % p, p - 1], dtype=np.int64)
     for c0 in range(0, n, PANEL):
@@ -139,10 +153,8 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
         while j < w and r + k < m:
             kk = 2 * k
             b = BLOCK if j + BLOCK <= w and r + k + BLOCK <= m else 1
-            Ct = S[k:, j:j + b]
-            if k:
-                Ct = Ct + (H[:kk, k:].T @ U[:kk, j:j + b]).astype(np.int64)
-                Ct %= p
+            Ct = S[k:, j:j + b] + (H[:kk, k:].T @ U[:kk, j:j + b]).astype(np.int64)
+            Ct %= p
             Binv = _inverse4(Ct[:BLOCK].tolist(), p) if b == BLOCK else None
             if Binv is None:
                 b = 1
@@ -160,9 +172,8 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
                 Binv = np.array([[(inv + h) % p - h]], dtype=np.int64)
             # nothing reads the step's own columns of S again
             P = S[k:k + b, j + b:]
-            if k:
-                P += (H[:kk, k:k + b].T @ U[:kk, j + b:]).astype(np.int64)
-                P %= p
+            P += (H[:kk, k:k + b].T @ U[:kk, j + b:]).astype(np.int64)
+            P %= p
             U[kk:kk + 2 * b, j + b:] = (
                 np.multiply.outer(bscale, P) % p).reshape(2 * b, P.shape[1])
             M = Ct[b:, :b] @ Binv
@@ -174,11 +185,14 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
         if k and w < n - c0 and r + k < m:
             T = S[k:, w:]
             kk = 2 * k
+            grown += 1
             for i in range(0, len(T), CHUNK):
                 X = T[i:i + CHUNK]
                 L = H[:kk, k + i:k + i + CHUNK].T
                 X += (L @ U[:kk, w:]).astype(np.int64)
-                X -= X // p * p  # cheaper than %= on a block
+                if grown == TRAIL_REDUCE:
+                    X -= X // p * p  # cheaper than %= on a block
+            grown %= TRAIL_REDUCE
         r += k
     return r
 

@@ -60,6 +60,26 @@ the cells with b >= m1, which p1's rows do not touch.  When there is
 no other point, or the first heaviest one lies on p0's vertical line
 (dx = 0), m1 = 0 and nothing is folded.
 
+The third heaviest point at [0:1:0], on a full triangle.  When D is the
+triangle (1, ..., n), its span is every polynomial of degree <= n - 1,
+and a projective map takes that space onto itself.  Let p2 = (x2, y2) be
+the first of the remaining points of largest multiplicity m2 after the
+two moves above.  The map (x, y) -> ((x - (x2/y2)·y)/(1 - y/y2),
+y/(1 - y/y2)) fixes (0, 0) and (1, 0) and sends p2 to [0:1:0]; the
+other points stay affine when none of them lies on the line y = y2.
+"Vanishes to order m at a point" does not depend on the coordinates,
+so the space cut out by the points, and the rank, are the same at the
+same sampled points.  At [0:1:0], in the chart Y = 1 of the form
+F(X, Y, Z), a point of multiplicity m2 asks exactly that the
+coefficients of x^a y^b = X^a Y^b Z^(n-1-a-b) with a + (n - 1 - a - b)
+< m2 vanish: the C(m2 + 1, 2) cells with b >= n - m2, one pivot each.
+The move is made only when m1 > 0, y2 != 0, no other point has y = y2,
+and m0 + m2 <= n, so that p0's cells (degree < m0) and p2's cells are
+disjoint; m1 <= m0 then gives m1 + m2 <= n, so the slices b < m1 that
+p1 folds keep all their cells, and the fold above holds on the layers
+of D past m0 capped at n - m2.  Otherwise nothing more is moved.  Over
+any D that is not a full triangle such a map would leave D's span.
+
 The fold happens in the per-point tables, before the product.  Row
 (j, alpha, beta) of the column of x^a y^b is X_j[alpha, a]·Y_j[beta, b],
 with X_j[alpha, a] = a!/(a-alpha)!·x_j^(a-alpha) and Y_j likewise in y.
@@ -85,7 +105,12 @@ random vanish on a nonzero minor with probability at most about N·e/p:
 below 10^-4 for N = 2,000 columns, e = 60 and the default p = 2^31 − 1.
 Such bad luck only lowers the rank, and a deficient rank only ever leads
 to another attempt with fresh points or to Inconclusive, never to a
-wrong verdict.
+wrong verdict.  A full-rank step proves its claim from its integer
+points alone: some maximal minor is nonzero mod p, so nonzero over the
+integers, so the matrix has full rank over Q at those points and, by
+semicontinuity, at general points; the moves above are changes of
+coordinates over F_p and keep the rank mod p.  Schwartz–Zippel bounds
+only the chance of a retry.
 """
 from __future__ import annotations
 
@@ -93,7 +118,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING
 
-from .diagrams import Diagram
+from .diagrams import Diagram, triangle
 from .systems import INCONCLUSIVE, NON_SPECIAL, Step, Verdict
 
 if TYPE_CHECKING:
@@ -294,8 +319,10 @@ def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
 def matrix_shape(D: Diagram, mults) -> tuple[int, int]:
     """Rows and columns, at most, of the matrix ``interpolation_rank``
     builds for V(D; mults).  On a down-closed D the heaviest point's rows
-    and the cells it pivots on are left out; the fold of a second point,
-    which depends on the sampled points, only makes the matrix smaller."""
+    and the cells it pivots on are left out.  The shape is an upper
+    bound: the fold of a second point and, on a full triangle, the move
+    of a third to [0:1:0] depend on the sampled points and only make the
+    matrix smaller."""
     rows = sum(comb(m + 1, 2) for m in mults)
     if not mults or not D.down_closed:
         return rows, D.cells
@@ -307,11 +334,11 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
     """Rank over F_p of the interpolation matrix of V(D; mults) at points.
 
     On a down-closed D the heaviest point goes to the origin and the next
-    heaviest, unless it shares that point's x coordinate, to (1, 0); the
-    rank is their pivots plus the rank of a smaller folded matrix (see
-    the module docstring).  Any other D, or no point, gets the plain
-    matrix.  Either way one ``build_matrix`` and one ``rank`` call are
-    made.
+    heaviest, unless it shares that point's x coordinate, to (1, 0); on a
+    full triangle a third goes to [0:1:0] when its guards hold.  The rank
+    is their pivots plus the rank of a smaller folded matrix (see the
+    module docstring).  Any other D, or no point, gets the plain matrix.
+    Either way one ``build_matrix`` and one ``rank`` call are made.
     """
     mults = list(mults)
     points = list(points)
@@ -323,7 +350,6 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
     x0, y0 = points.pop(i)
     points = [((x - x0) % p, (y - y0) % p) for x, y in points]
     fixed = sum(D.layers[:m0])
-    rest = Diagram(tuple(c if j >= m0 else 0 for j, c in enumerate(D.layers)))
     m1, u, v = 0, 1, 0
     i = mults.index(max(mults)) if mults else None
     if i is not None and points[i][0]:
@@ -332,6 +358,21 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
         u = pow(dx, -1, p)
         v = dy * u % p
     points = [(x * u % p, (y - v * x) % p) for x, y in points]
+    # on a full triangle the next heaviest point goes to [0:1:0]; m1 <= m0,
+    # so m0 + m2 <= n gives m1 + m2 <= n as well
+    top = n = D.nlayers
+    i = mults.index(max(mults)) if m1 and mults else None
+    if i is not None and m0 + mults[i] <= n and D == triangle(n):
+        x2, y2 = points[i]
+        if y2 and [y for _, y in points].count(y2) == 1:
+            top -= mults[i]
+            fixed += comb(mults.pop(i) + 1, 2)
+            del points[i]
+            inv = [pow(y2 - y, -1, p) for _, y in points]
+            points = [((x * y2 - x2 * y) * t % p, y * t % p)
+                      for (x, y), t in zip(points, inv)]
+    # the cells past the first m0 layers, with y-exponent below top
+    rest = Diagram(tuple(min(c, top) if j >= m0 else 0 for j, c in enumerate(D.layers)))
     A = build_matrix(rest, mults, points, p, fold=m1)
     # each cell the fold leaves out holds one pivot of the point at (1, 0)
     return fixed + rest.cells - A.shape[1] + rank(A, p)

@@ -72,6 +72,9 @@ class LedgerEntry:
 _KEYS = {f.name for f in fields(LedgerEntry)} - {"index"}
 # keys a range object may carry; k and r may also be an int or a list of ints
 _RANGE_KEYS = {"k": {"ge", "le"}, "r": {"ge", "le"}, "m": {"ge", "ne"}}
+# the JSON type of every other key but midpoints; max_glues may also be null
+_TYPES = {"id": str, "anchor": str, "system": str, "script": str, "expect": str,
+          "tail": int, "glues_per_phase": int, "target_offset": int, "max_glues": int}
 
 
 def _range_ok(key: str, spec: object) -> bool:
@@ -84,6 +87,8 @@ def _range_ok(key: str, spec: object) -> bool:
 def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
     """Build the entry of the record on 0-based line `index`."""
     where = f"{DATA_RESOURCE} line {index + 1}"
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: not a JSON object")
     unknown = sorted(set(rec) - _KEYS)
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
@@ -97,6 +102,15 @@ def _entry_from_record(rec: dict, index: int) -> LedgerEntry:
     for key in _RANGE_KEYS:
         if key in rec and not _range_ok(key, rec[key]):
             raise ValueError(f"{where}: bad {key} range {json.dumps(rec[key])}")
+    for key, kind in _TYPES.items():
+        value = rec.get(key)
+        if key in rec and type(value) is not kind and (key, value) != ("max_glues", None):
+            raise ValueError(f"{where}: {key} {json.dumps(value)} is not "
+                             f"{'an int' if kind is int else 'a string'}")
+    midpoints = rec.get("midpoints", [])
+    if not (isinstance(midpoints, list) and all(isinstance(mp, dict) for mp in midpoints)):
+        raise ValueError(f"{where}: midpoints {json.dumps(midpoints)} "
+                         "is not a list of objects")
     entry = LedgerEntry(index=index, **rec)
     if entry.expect not in EXPECTS:
         raise ValueError(f"{where}: unknown expect {entry.expect!r}")

@@ -500,6 +500,36 @@ class TestBlockStep:
         assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P)
 
 
+class TestDeferredReductionKernel:
+    """The trailing block reduced once every TRAIL_REDUCE panel updates
+    (1 and 2 here as well as the real period): a step reduces the entries
+    it reads, so the rank is the reference's whatever the period."""
+
+    @pytest.mark.parametrize("period", [1, 2, _gauss.TRAIL_REDUCE])
+    @pytest.mark.parametrize("m, n", [
+        (3 * W + 5, 3 * W + 5), (4 * W + 2, 3 * W + 7), (2 * W + 9, 4 * W + 1),
+    ])
+    def test_matches_reference(self, monkeypatch, period, m, n):
+        monkeypatch.setattr(_gauss, "TRAIL_REDUCE", period)
+        A = np.random.default_rng(m * n).integers(0, P, size=(m, n), dtype=np.int64)
+        assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P) == min(m, n)
+        A = _random_deficient(m, n, seed=m + n)
+        assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P)
+
+    @pytest.mark.parametrize("period", [1, 2, _gauss.TRAIL_REDUCE])
+    def test_dependent_row_at_the_top_of_a_later_panel(self, monkeypatch, period):
+        # rows 0..2W-1 give the pivots of the first two panels, so row 2W
+        # is the top row at the third panel's first step, with k = 0; it
+        # combines rows of the first two panels, so its entries there are
+        # 0 mod p, but unreduced multiples of p unless the trailing
+        # block was reduced after the second panel
+        monkeypatch.setattr(_gauss, "TRAIL_REDUCE", period)
+        n = 4 * W
+        A = np.random.default_rng(31).integers(0, P, size=(n, n), dtype=np.int64)
+        A[2 * W] = (5 * A[3] + (P - 1) * A[W - 1] + A[W + 7]) % P
+        assert rank_mod_p(A, P) == _rank_mod_p_scalar(A, P) == n - 1
+
+
 @pytest.fixture(scope="module")
 def family_matrices():
     """Interpolation matrices of three reduced diagrams of the staircase
@@ -678,20 +708,24 @@ class TestInterpolationRank:
         assert got == _whole_rank(D, mults, points)
 
     def test_ties_move_the_first_heaviest_point(self, builds):
-        points = [(3, 4), (10, 20), (30, 50)]
-        interpolation_rank(triangle(5), [2, 3, 3], points, P)
+        # not a full triangle, so the double point is not sent to [0:1:0]
+        D, points = diagram(1, 2, 3, 4, 4), [(3, 4), (10, 20), (30, 50)]
+        got = interpolation_rank(D, [2, 3, 3], points, P)
         ((_, ms, moved, _),) = builds
         assert ms == [2]
         # (3, 4) - (10, 20) = (-7, -16), then (x, y) -> (x/dx, y - (dy/dx)·x)
         # for (dx, dy) = (30, 50) - (10, 20) = (20, 30)
         u = pow(20, -1, P)
         assert moved == [(-7 * u % P, (-16 + 30 * u * 7) % P)]
+        assert got == _whole_rank(D, [2, 3, 3], points)
 
     # built: the rows, and the cells of the diagram that build_matrix
     # gets; folded: the shape it builds, which rank gets
     @pytest.mark.parametrize("D, mults, built, folded", [
-        # m1 = 2 < m0 = 4: slices b = 0, 1 of degrees 4..7 keep 2 and 3 cells
-        (triangle(8), [4, 2, 1, 1], (2, 26), (2, 23)),
+        # m1 = 2 < m0 = 4: slices b = 0, 1 of degrees 4..7 keep 2 and 3
+        # cells; on the full triangle a simple point goes to [0:1:0] and
+        # takes x^0 y^7 with it
+        (triangle(8), [4, 2, 1, 1], (1, 25), (1, 22)),
         # a tie m0 = m1 = 3 on (4, 4, 3) from degree 3: slice 0 (3 cells,
         # k = 3) is all pivots, slices 1 and 2 keep 1 and 2, slice 3 is kept
         (diagram(1, 2, 3, 4, 4, 3), [3, 1, 3], (1, 11), (1, 5)),
@@ -720,12 +754,13 @@ class TestInterpolationRank:
         assert got == _whole_rank(D, mults, points) < 13
 
     def test_a_point_on_the_first_ones_vertical_line(self, builds):
-        # (5, 11) shares p0's x coordinate: it moves to x = 0
-        points = [(5, 7), (9, 2), (5, 11), (8, 3)]
-        got = interpolation_rank(triangle(7), [3, 2, 2, 1], points, P)
+        # (5, 11) shares p0's x coordinate: it moves to x = 0 (D is not a
+        # full triangle, so it is not sent on to [0:1:0])
+        D, points = diagram(1, 2, 3, 4, 5, 6, 6), [(5, 7), (9, 2), (5, 11), (8, 3)]
+        got = interpolation_rank(D, [3, 2, 2, 1], points, P)
         ((_, ms, moved, _),) = builds
         assert ms == [2, 1] and moved[0][0] == 0
-        assert got == _whole_rank(triangle(7), [3, 2, 2, 1], points)
+        assert got == _whole_rank(D, [3, 2, 2, 1], points)
 
     def test_second_point_on_the_first_ones_vertical_line(self, builds, ranked):
         # dx = 0: only the move to the origin
@@ -789,6 +824,94 @@ class TestInterpolationRank:
         monkeypatch.setattr(fplinalg, "interpolation_rank", checked)
         run_initial_cases(FamilySpec(5, 10, 1))
         assert len(calls) == 624
+
+
+def _third_point_moves(n, mults, points):
+    """Whether ``interpolation_rank`` sends a third point of triangle(n)
+    to [0:1:0], read off the points as given: m0 + m2 <= n, p1 off p0's
+    vertical line, p2 off the line p0p1, and no other point on the
+    parallel to p0p1 through p2."""
+    def cross(u, v, w):  # (v - u) x (w - u) mod P
+        return ((v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])) % P
+
+    order = sorted(range(len(mults)), key=lambda i: -mults[i])  # ties keep order
+    if len(order) < 3 or mults[order[0]] + mults[order[2]] > n:
+        return False
+    p0, p1, p2 = (points[i] for i in order[:3])
+    q1 = (p2[0] + p1[0] - p0[0], p2[1] + p1[1] - p0[1])  # p2 + (p1 - p0)
+    return bool((p1[0] - p0[0]) % P and cross(p0, p1, p2)) and all(
+        cross(p2, q1, points[i]) for i in order[3:])
+
+
+class TestThirdPointRank:
+    """On a full triangle of n layers the third heaviest point goes to
+    [0:1:0], where it asks that the C(m2 + 1, 2) coefficients of the
+    monomials with y-exponent >= n - m2 vanish: the same rank as the whole
+    matrix, whether the guards hold or one of them trips."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_whole_matrix(self, builds, seed):
+        rng = np.random.default_rng(1000 + seed)
+        moved = 0
+        for _ in range(10):
+            n = int(rng.integers(3, 12))
+            r = int(rng.integers(3, 8))
+            mults = [int(m) for m in rng.integers(1, n // 2 + 2, size=r)]
+            # small coordinates put points on common lines, so guards trip
+            # and ranks are often deficient
+            small = list(dict.fromkeys(map(tuple, rng.integers(1, 5, size=(r, 2)).tolist())))
+            for points in (sample_points(r, P, rng), small):
+                ms = mults[:len(points)]
+                builds.clear()
+                got = interpolation_rank(triangle(n), ms, points, P)
+                assert got == _whole_rank(triangle(n), ms, points), (n, ms, points)
+                ((_, left, _, _),) = builds
+                moves = _third_point_moves(n, ms, points)
+                assert (len(ms) - len(left) == 3) is moves, (n, ms, points)
+                moved += moves
+        assert moved
+
+    def test_cells_at_infinity_become_pivots(self, builds, ranked):
+        # L(6; 3, 2^2, 1): p0 takes the 6 cells of degree < 3 and p2 the 3
+        # cells with y-exponent >= 5, which caps the layers of rest at 5;
+        # p1's fold keeps 2 and 3 of the 4 cells of slices b = 0 and 1
+        points = [(2, 3), (7, 5), (4, 9), (11, 13)]
+        got = interpolation_rank(triangle(7), [3, 2, 2, 1], points, P)
+        ((rest, ms, _, shape),) = builds
+        assert ms == [1] and rest == Diagram((0, 0, 0, 4, 5, 5, 5))
+        assert [shape] == ranked == [(1, 16)]
+        assert got == _whole_rank(triangle(7), [3, 2, 2, 1], points) == 13
+
+    # dropped: how many points leave before build_matrix (3 when p2 goes
+    # to [0:1:0]); p0 = (2, 3), p1 = (7, 5), so p1 - p0 = (5, 2)
+    @pytest.mark.parametrize("n, mults, points, dropped", [
+        (7, [3, 2, 2, 1], [(2, 3), (7, 5), (4, 9), (11, 13)], 3),
+        (6, [4, 2, 2], [(2, 3), (7, 5), (4, 9)], 3),  # m0 + m2 = n
+        (6, [5, 2, 2], [(2, 3), (7, 5), (4, 9)], 2),  # m0 + m2 = n + 1
+        # m1 + m2 = n + 1; as m1 <= m0, only a tie m1 = m0 gets there, and
+        # then m0 + m2 = n + 1 as well
+        (6, [4, 4, 3], [(2, 3), (7, 5), (4, 9)], 2),
+        # p2 = p0 + 2 (p1 - p0): on the line through p0 and p1, so y2 = 0
+        (7, [3, 2, 2, 1], [(2, 3), (7, 5), (12, 7), (11, 13)], 2),
+        # (9, 11) = p2 + (p1 - p0): another point on y = y2
+        (7, [3, 2, 2, 1], [(2, 3), (7, 5), (4, 9), (9, 11)], 2),
+        # p1 on p0's vertical line: no point at (1, 0), so none at infinity
+        (7, [3, 2, 2, 1], [(2, 3), (2, 8), (4, 9), (11, 13)], 1),
+    ])
+    def test_guards(self, builds, n, mults, points, dropped):
+        got = interpolation_rank(triangle(n), mults, points, P)
+        ((_, ms, _, _),) = builds
+        assert len(mults) - len(ms) == dropped
+        assert _third_point_moves(n, mults, points) is (dropped == 3)
+        assert got == _whole_rank(triangle(n), mults, points)
+
+    def test_not_on_a_triangle_with_a_short_last_layer(self, builds):
+        # (1, ..., 6, 6) is down-closed, but the move would not keep its span
+        D, points = diagram(1, 2, 3, 4, 5, 6, 6), [(2, 3), (7, 5), (4, 9), (11, 13)]
+        got = interpolation_rank(D, [3, 2, 2, 1], points, P)
+        ((_, ms, _, _),) = builds
+        assert ms == [2, 1]
+        assert got == _whole_rank(D, [3, 2, 2, 1], points)
 
 
 class TestCertificate:

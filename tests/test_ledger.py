@@ -94,11 +94,29 @@ class TestLoaderChecks:
         ({**FAMILY, "m": 13}, "bad m range 13"),
         ({**CONCRETE, "k": [3], "m": {"ne": [12]}}, "concrete record with k, m"),
         ({**CONCRETE, "tail": 7, "r": 9}, "concrete record with tail, r"),
+        ([1], "not a JSON object"),
+        (5, "not a JSON object"),
+        ({**FAMILY, "glues_per_phase": "two"}, 'glues_per_phase "two" is not an int'),
+        ({**FAMILY, "tail": None}, "tail null is not an int"),
+        ({**FAMILY, "target_offset": True}, "target_offset true is not an int"),
+        ({**FAMILY, "max_glues": 1.5}, "max_glues 1.5 is not an int"),
+        ({**FAMILY, "id": 3}, "id 3 is not a string"),
+        ({**FAMILY, "anchor": None}, "anchor null is not a string"),
+        ({**CONCRETE, "system": ["L(29;12,7^9)"]}, 'system ["L(29;12,7^9)"] is not a string'),
+        ({**CONCRETE, "script": 1}, "script 1 is not a string"),
+        ({**FAMILY, "expect": ["auto"]}, 'expect ["auto"] is not a string'),
+        ({**FAMILY, "midpoints": {"systems": []}},
+         'midpoints {"systems": []} is not a list of objects'),
+        ({**FAMILY, "midpoints": ["L(24;10,7^5,2)"]},
+         'midpoints ["L(24;10,7^5,2)"] is not a list of objects'),
     ])
     def test_bad_record_names_its_line(self, rec, message):
         with pytest.raises(ValueError,
                            match=re.escape(f"cases.jsonl line 5: {message}")):
             _entry_from_record(rec, 4)
+
+    def test_null_max_glues_is_unlimited(self):
+        assert _entry_from_record({**FAMILY, "max_glues": None}, 4).max_glues is None
 
     @pytest.mark.parametrize("spec, values", [
         (50, []), (40, [40]), ([39, 50], [39]), ({"ge": 39, "le": 50}, [39, 40]),
