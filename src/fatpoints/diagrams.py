@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import index
 
 
 class InvalidLayerError(ValueError):
@@ -22,12 +23,13 @@ class InvalidLayerError(ValueError):
 class Diagram:
     """Ordered layer sizes, with trailing zero layers trimmed on
     construction: every Diagram is canonical, and == compares the
-    monomial sets."""
+    monomial sets.  Layer sizes are coerced with ``operator.index``:
+    integers, numpy ones included, pass and anything else is a TypeError."""
 
     layers: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        layers = tuple(int(c) for c in self.layers)
+        layers = tuple(map(index, self.layers))
         n = len(layers)
         while n and layers[n - 1] == 0:
             n -= 1

@@ -31,6 +31,7 @@ from .systems import (
     LinearSystem,
     Step,
     Verdict,
+    _derived,
     classify_by_axioms,
     record_standard_form,
     strip_negative_mults,
@@ -77,12 +78,16 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
         return Verdict(INCONCLUSIVE, reason="recursion depth exceeded")
     steps: list[Step] = []
     cur = L
-    if "standard_form" in cfg.stages:
+    standard = "standard_form" in cfg.stages
+    if standard:
         cur = record_standard_form(L, steps)
         if cur.degree < 0:
             return Verdict(EMPTY, -1, (*steps, Step("negative_degree", {}, before=cur)))
-    if "negative" in cfg.stages and cur.degree >= 0 and min(cur.mults, default=0) < 0:
-        if "standard_form" not in cfg.stages:  # standard form leaves cur sorted
+    ms = cur.mults
+    # standard form leaves cur sorted, so its last entry is the smallest
+    negative = bool(ms) and (ms[-1] if standard else min(ms)) < 0
+    if "negative" in cfg.stages and cur.degree >= 0 and negative:
+        if not standard:
             cur = cur.sorted_desc()
         stripped, components = strip_negative_mults(cur)
         steps.append(Step("strip_negative", {"components": components},
@@ -92,10 +97,14 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
         # stripped system is non-empty, as a NonSpecial one is (dim >= 0).
         kind = MINUS_ONE_SPECIAL if components and sub.kind == NON_SPECIAL else sub.kind
         return Verdict(kind, sub.dim, tuple(steps) + sub.certificate, sub.reason)
-    if cur.degree < 0 or min(cur.mults, default=0) < 0:
+    if cur.degree < 0 or negative:
         return Verdict(INCONCLUSIVE, reason="unresolved negative entries",
                        certificate=tuple(steps))
-    canon = cur.canonical()
+    if standard:  # sorted and non-negative: the zeros are the tail
+        zeros = ms.count(0)
+        canon = _derived(cur.degree, ms[:len(ms) - zeros]) if zeros else cur
+    else:
+        canon = cur.canonical()
     if "axioms" in cfg.stages:
         try:
             v = classify_by_axioms(canon)

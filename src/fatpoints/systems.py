@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index, mul
 
 from .diagrams import Diagram
 
@@ -32,8 +33,10 @@ class LinearSystem:
     """A degree together with an ordered, signed multiplicity list.
 
     The constructor coerces the degree and every multiplicity to a Python
-    int, so that numpy integers or arrays given from outside neither leak
-    into dimensions and certificates nor break equality and hashing.  The
+    int with ``operator.index``, so that numpy integers or arrays given
+    from outside neither leak into dimensions and certificates nor break
+    equality and hashing.  A value that is not an integer, such as a float
+    or a string, is a TypeError, not truncated or parsed.  The
     systems this module derives from another system's own fields
     (``sorted_desc``, ``canonical``, ``cremona``, the sort steps of
     ``standard_form`` and ``strip_negative_mults``) skip that coercion
@@ -47,8 +50,8 @@ class LinearSystem:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degree", int(self.degree))
-        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
+        object.__setattr__(self, "degree", index(self.degree))
+        object.__setattr__(self, "mults", tuple(map(index, self.mults)))
 
     # -- canonicalization (always explicit, never implicit) ------------
 
@@ -58,8 +61,8 @@ class LinearSystem:
 
     def canonical(self) -> "LinearSystem":
         """Sorted non-increasing with all zero multiplicities removed."""
-        ms = sorted((m for m in self.mults if m != 0), reverse=True)
-        return _derived(self.degree, tuple(ms))
+        ms = tuple(sorted(filter(None, self.mults), reverse=True))
+        return _derived(self.degree, ms)
 
     def same_as(self, other: "LinearSystem") -> bool:
         """Equality up to reordering and zero multiplicities."""
@@ -69,7 +72,7 @@ class LinearSystem:
     # -- convenience ---------------------------------------------------
 
     def count(self, m: int) -> int:
-        return sum(1 for x in self.mults if x == m)
+        return self.mults.count(m)
 
     def __str__(self) -> str:
         return format_system(self)
@@ -167,14 +170,26 @@ def _text(x):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
-    """Classification result with a replayable derivation trace."""
+    """Classification result with a replayable derivation trace.
+
+    The constructor writes the fields directly, as ``Step`` does: every
+    classification builds two or three verdicts.
+    """
 
     kind: str
     dim: int | None = None
     certificate: tuple[Step, ...] = ()
     reason: str | None = None
+
+    def __init__(self, kind: str, dim: int | None = None,
+                 certificate: tuple[Step, ...] = (), reason: str | None = None) -> None:
+        fields = self.__dict__  # written directly: the frozen __setattr__ refuses
+        fields["kind"] = kind
+        fields["dim"] = dim
+        fields["certificate"] = certificate
+        fields["reason"] = reason
 
     @staticmethod
     def nonspecial(dim: int, certificate: tuple[Step, ...]) -> "Verdict":
@@ -212,11 +227,9 @@ def vdim(L: LinearSystem) -> int:
     Negative multiplicities contribute through the same binomial
     m(m+1)/2, so -1 contributes 0 and -2 contributes +1.
     """
-    d = L.degree
-    total = (d + 2) * (d + 1) // 2
-    for m in L.mults:
-        total -= m * (m + 1) // 2
-    return total - 1
+    d, ms = L.degree, L.mults
+    # sum m(m+1) is even, as each term is, so halving the total is exact
+    return (d + 2) * (d + 1) // 2 - (sum(map(mul, ms, ms)) + sum(ms)) // 2 - 1
 
 
 def edim(L: LinearSystem) -> int:
@@ -264,7 +277,8 @@ def standard_form(L: LinearSystem) -> tuple[LinearSystem, tuple[LinearSystem, ..
         if ms != cur.mults:
             cur = _derived(cur.degree, ms)
             chain.append(cur)
-        if cur.degree < 0 or cur.degree >= sum(cur.mults[:3]):
+        d = cur.degree
+        if d < 0 or d >= (ms[0] + ms[1] + ms[2] if len(ms) > 2 else sum(ms)):
             break
         cur = cremona(cur)
         chain.append(cur)
@@ -295,11 +309,15 @@ def strip_negative_mults(L: LinearSystem) -> tuple[LinearSystem, tuple[int, ...]
     """
     if L.degree < 0:
         raise ValueError("strip_negative_mults needs degree >= 0")
-    if list(L.mults) != sorted(L.mults, reverse=True):
+    ms = L.mults
+    if list(ms) != sorted(ms, reverse=True):
         raise ValueError("strip_negative_mults needs non-increasing multiplicities")
-    comps = tuple(-m for m in L.mults if m <= -2)
-    new = tuple(0 if m < 0 else m for m in L.mults)
-    return _derived(L.degree, new), comps
+    n = len(ms)  # sorted, so the negative entries are the tail ms[n:]
+    while n and ms[n - 1] < 0:
+        n -= 1
+    tail = ms[n:]
+    comps = tuple([-m for m in tail if m <= -2])
+    return _derived(L.degree, ms[:n] + (0,) * len(tail)), comps
 
 
 # ---------------------------------------------------------------------
@@ -321,17 +339,19 @@ def classify_by_axioms(L: LinearSystem) -> Verdict | None:
     A system one of them covers is non-special, hence empty precisely
     when its expected dimension is -1; otherwise the result is None.
     """
-    if L.degree < 0 or not is_standard_form(L) or min(L.mults, default=0) < 0:
+    ms = L.mults
+    if L.degree < 0 or not is_standard_form(L) or (ms and ms[-1] < 0):
         raise ValueError(
             f"axioms apply only to standard-form systems with d >= 0 and "
             f"non-negative multiplicities, got {L}"
         )
-    positive = [m for m in L.mults if m > 0]
-    if len(positive) <= 9:
+    # ms is non-increasing and non-negative: ms[0] is the largest entry
+    positive = len(ms) - ms.count(0)
+    if positive <= 9:
         axioms: tuple[str, ...] = (POINTS_LE_9,)
-    elif max(positive) <= 11:
+    elif ms[0] <= 11:
         axioms = (MULT_LE_11,)
-    elif sum(1 for m in positive if m >= 2) <= 9:
+    elif positive - ms.count(1) <= 9:
         axioms = (SIMPLE_POINTS, POINTS_LE_9)
     else:
         return None

@@ -17,11 +17,13 @@ from pathlib import Path
 from fatpoints.cli import _verdict_dict
 from fatpoints.engine import EngineConfig, classify
 from fatpoints.fplinalg import PrimeFieldConfig
+from fatpoints.systems import MULT_LE_11, POINTS_LE_9, SIMPLE_POINTS
 from fatpoints.textio import parse_system
 
 CORPUS = Path(__file__).parent / "data" / "golden_certificates.jsonl"
 STEP_OPS = {"standard_form", "strip_negative", "negative_degree", "axiom",
             "reduce_chain", "enlarge", "rank"}
+AXIOM_BRANCHES = {(POINTS_LE_9,), (MULT_LE_11,), (SIMPLE_POINTS, POINTS_LE_9)}
 
 
 def verdict_record(system: str, stages, max_cols: int,
@@ -43,6 +45,9 @@ def test_corpus_covers_every_step_and_reason():
     verdicts = [rec["verdict"] for rec in load_corpus()]
     ops = {s["op"] for v in verdicts for s in v["steps"]}
     assert ops == STEP_OPS
+    branches = {tuple(s["params"]["axioms"]) for v in verdicts for s in v["steps"]
+                if s["op"] == "axiom"}
+    assert branches == AXIOM_BRANCHES
     reasons = {v["reason"] for v in verdicts if v["kind"] == "Inconclusive"}
     assert "all stages inconclusive" in reasons
     assert any("(cap " in r for r in reasons)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
 import random
@@ -14,7 +15,10 @@ from fatpoints.textio import parse_system
 from fatpoints.systems import (
     EMPTY,
     MINUS_ONE_SPECIAL,
+    MULT_LE_11,
     NON_SPECIAL,
+    POINTS_LE_9,
+    SIMPLE_POINTS,
     GlueError,
     LinearSystem,
     Step,
@@ -259,6 +263,114 @@ class TestAgainstIndexScans:
             '[26, {"axioms": ["POINTS_LE_9"], "edim": 26}]'
 
 
+class TestIntegralInputs:
+    """The constructors take integers, numpy ones included, and refuse
+    what is not one instead of truncating or parsing it."""
+
+    def test_float_multiplicities_raise(self):
+        with pytest.raises(TypeError):
+            LinearSystem(3.7, (2.9, 1))
+        with pytest.raises(TypeError):
+            LinearSystem(3, (2.0, 1))
+
+    def test_string_entries_raise(self):
+        with pytest.raises(TypeError):
+            LinearSystem("5", ("2", "2"))
+        with pytest.raises(TypeError):
+            LinearSystem(5, ("2", "2"))
+
+    def test_float_layers_raise(self):
+        with pytest.raises(TypeError):
+            Diagram((1, 2.5))
+        d = Diagram(np.array([1, 2, 2], dtype=np.int32))
+        assert d.layers == (1, 2, 2) and all(type(c) is int for c in d.layers)
+
+
+def _vdim_loop(d, ms):
+    """The loop vdim used before: one binomial subtracted per entry."""
+    total = (d + 2) * (d + 1) // 2
+    for m in ms:
+        total -= m * (m + 1) // 2
+    return total - 1
+
+
+def _strip_loop(ms):
+    """The two full scans strip_negative_mults used before."""
+    return tuple(0 if m < 0 else m for m in ms), tuple(-m for m in ms if m <= -2)
+
+
+def _axiom_branch_loop(L):
+    """The branch choice classify_by_axioms made before, from a list of
+    the positive entries; None where no axiom applies."""
+    positive = [m for m in L.mults if m > 0]
+    if len(positive) <= 9:
+        return (POINTS_LE_9,)
+    if max(positive) <= 11:
+        return (MULT_LE_11,)
+    if sum(1 for m in positive if m >= 2) <= 9:
+        return (SIMPLE_POINTS, POINTS_LE_9)
+    return None
+
+
+def loop_corpus(seed=25, n=4000):
+    """Random signed systems: zeros, negatives, runs of equal entries, and
+    often ten or more points with one of multiplicity 12 or more."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        r = rng.choice([0, 1, 2, 3, 9, 10, 11, 13, 16])
+        ms = [rng.choice([-3, -2, -1, 0, 0, 1, 1, 1, 2, 3, 5, 8, 11])
+              for _ in range(r)]
+        if ms and rng.random() < 0.4:
+            ms[rng.randrange(r)] = rng.randint(12, 20)
+        if ms and rng.random() < 0.4:  # repeat entries into runs
+            ms = [m for m in ms for _ in range(rng.randint(1, 3))]
+        rng.shuffle(ms)
+        yield rng.randint(-3, 70), tuple(ms)
+
+
+class TestAgainstLoopForms:
+    """vdim, canonical, count, strip_negative_mults and the axiom branch
+    choice agree with the loops they replaced."""
+
+    def test_vdim_canonical_count(self):
+        for d, ms in loop_corpus():
+            x = L(d, *ms)
+            assert vdim(x) == _vdim_loop(d, ms)
+            canon = x.canonical()
+            assert canon == L(d, *sorted((m for m in ms if m != 0), reverse=True))
+            assert all(type(m) is int for m in canon.mults)
+            for m in (-2, 0, 1, 12, 99):
+                assert x.count(m) == sum(1 for y in ms if y == m)
+
+    def test_strip_negative_mults(self):
+        n_negative = 0
+        for d, ms in loop_corpus():
+            x = L(abs(d), *ms).sorted_desc()
+            new, comps = _strip_loop(x.mults)
+            assert strip_negative_mults(x) == (L(x.degree, *new), comps)
+            n_negative += bool(comps)
+        assert n_negative > 100
+
+    def test_axiom_branch_choice(self):
+        seen = set()
+        for d, ms in loop_corpus():
+            x = L(d, *ms)
+            if d < 0 or not is_standard_form(x) or min(ms, default=0) < 0:
+                with pytest.raises(ValueError):
+                    classify_by_axioms(x)
+                # the same system made admissible: sorted, no negatives,
+                # and a degree at least its three largest entries
+                srt = sorted((max(m, 0) for m in ms), reverse=True)
+                x = L(max(d, sum(srt[:3])), *srt)
+            want = _axiom_branch_loop(x)
+            v = classify_by_axioms(x)
+            assert (v.axioms_used if v else None) == want, x
+            if v is not None:
+                assert v.dim == max(_vdim_loop(x.degree, x.mults), -1)
+            seen.add(want)
+        assert seen == {(POINTS_LE_9,), (MULT_LE_11,), (SIMPLE_POINTS, POINTS_LE_9), None}
+
+
 class TestDerivedSystems:
     """The systems derived from another system's fields skip the public
     coercion; from numpy input they still hold Python ints and compare and
@@ -338,6 +450,13 @@ class TestReadOnlyParams:
         step = Step("rank", given)
         given["rows"] = 4
         assert step.params == {"rows": 3}
+
+    def test_verdicts_stay_frozen(self):
+        v = Verdict(NON_SPECIAL, dim=3)
+        assert (v.kind, v.dim, v.certificate, v.reason) == (NON_SPECIAL, 3, (), None)
+        assert repr(v) == "Verdict(kind='NonSpecial', dim=3, certificate=(), reason=None)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.dim = 4
 
     def test_verdicts_pickle_and_copy(self):
         v = classify(parse_system("L(32;12,10^9)"))

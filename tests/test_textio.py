@@ -12,6 +12,7 @@ from fatpoints.systems import LinearSystem
 from fatpoints.textio import (
     MAX_ENTRIES,
     ParseError,
+    _flat_mults,
     format_diagram,
     format_system,
     parse_diagram,
@@ -132,6 +133,58 @@ class TestEntryBound:
         assert MAX_ENTRIES == 10_000
         assert parse_system("L(1;1^10000)").mults == (1,) * 10_000
         assert parse_diagram("(~10000)") == triangle(10_000)
+
+
+class TestFlatMults:
+    """The one-pass reader of a MultList the flat pattern matched gives
+    what the scanner gives, and None exactly where the scanner reports
+    more than MAX_ENTRIES entries."""
+
+    def scanned(self, items):
+        try:
+            return parse_mults(items)
+        except ParseError as exc:
+            assert "more than 10000 entries" in str(exc)
+            return None
+
+    def test_agrees_with_the_scanner(self):
+        rng = random.Random(25)
+        n_runs = 0
+        for _ in range(3000):
+            r = rng.choice([1, 2, 3, 9, 10, 14, 30])
+            runs = rng.random() < 0.5
+            items = []
+            for _ in range(r):
+                v = rng.choice([-3, -2, -1, 0, 1, 1, 2, 5, 11]) if rng.random() < 0.9 \
+                    else rng.randint(12, 40)
+                if runs and rng.random() < 0.4:
+                    items.append(f"{v}^{rng.choice([0, 1, 2, 5, 12])}")
+                else:
+                    items.append(str(v))
+            text = ",".join(items)
+            n_runs += "^" in text
+            got = _flat_mults(text)
+            assert got == self.scanned(text), text
+            assert all(type(m) is int for m in got)
+        assert 1000 < n_runs < 2000
+
+    @pytest.mark.parametrize("items", [
+        "1^10000", "1^10000,1", "1,1^10000", "1^9999,1", "1^9999,1,1",
+        "2^5000,1^5000", "2^5000,1^5001", "1^10001", "3,1^0,2^10000",
+    ])
+    def test_entry_cap(self, items):
+        want = self.scanned(items)
+        assert _flat_mults(items) == want
+        if want is None:
+            with pytest.raises(ParseError, match="more than 10000 entries"):
+                parse_system(f"L(1;{items})")
+        else:
+            assert parse_system(f"L(1;{items})").mults == want
+
+    def test_plain_item_past_a_full_run_is_refused(self):
+        with pytest.raises(ParseError, match="more than 10000 entries") as exc:
+            parse_system("L(1;1^10000,1)")
+        assert exc.value.pos == 12
 
 
 class TestIntegerLength:
