@@ -62,11 +62,6 @@ class Diagram:
         return format_diagram(self)
 
 
-def diagram(*layers: int) -> Diagram:
-    """Build a diagram from explicit layer sizes."""
-    return Diagram(layers)
-
-
 def triangle(a: int) -> Diagram:
     """The full triangle (1, 2, ..., a): all monomials of degree < a."""
     return Diagram(tuple(range(1, a + 1)))

@@ -13,8 +13,11 @@ dimension n - 1 (n = 0 means Empty).
 ``classify_space`` holds the one reduce -> enlarge -> rank cascade: the
 reduction chain, the enlarge-to-a-triangle emptiness test, and the
 randomized rank certificate on the reduced diagram and then on the full
-one.  The first conclusive stage wins; the verdict carries a replayable
-trace of every step taken.
+one.  Each rank target is checked against both caps of ``EngineConfig``
+before its matrix is built, and the first target over a cap ends the
+stage Inconclusive: the full diagram contains the reduced one.  The
+first conclusive stage wins; the verdict carries a replayable trace of
+every step taken.
 """
 from __future__ import annotations
 
@@ -48,9 +51,11 @@ _MAX_DEPTH = 200
 @dataclass(frozen=True)
 class EngineConfig:
     """Rank field, column cap and enabled stages of a classification;
-    an unknown stage or a cap below 1 is a ValueError.  The rank stage
-    builds no matrix of more than ``max_cols`` columns or ``max_cols**2``
-    entries (see ``fplinalg.matrix_shape``).
+    an unknown stage or a cap below 1 is a ValueError.  Each rank target
+    is checked against both caps before its matrix is built: a target of
+    more than ``max_cols`` cells, or a matrix of more than ``max_cols**2``
+    entries (see ``fplinalg.matrix_shape``), ends the rank stage
+    Inconclusive.
 
     ``DEFAULT_CONFIG`` is the one instance every call without a config
     shares; it is immutable, like every EngineConfig and PrimeFieldConfig.
@@ -77,18 +82,16 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
     if _depth > _MAX_DEPTH:
         return Verdict(INCONCLUSIVE, reason="recursion depth exceeded")
     steps: list[Step] = []
-    cur = L
-    standard = "standard_form" in cfg.stages
-    if standard:
+    if "standard_form" in cfg.stages:
         cur = record_standard_form(L, steps)
         if cur.degree < 0:
             return Verdict(EMPTY, -1, (*steps, Step("negative_degree", {}, before=cur)))
+    else:
+        cur = L.sorted_desc()
     ms = cur.mults
-    # standard form leaves cur sorted, so its last entry is the smallest
-    negative = bool(ms) and (ms[-1] if standard else min(ms)) < 0
+    # cur is sorted: its last entry is the smallest
+    negative = bool(ms) and ms[-1] < 0
     if "negative" in cfg.stages and cur.degree >= 0 and negative:
-        if not standard:
-            cur = cur.sorted_desc()
         stripped, components = strip_negative_mults(cur)
         steps.append(Step("strip_negative", {"components": components},
                           before=cur, after=stripped))
@@ -100,11 +103,8 @@ def classify(L: LinearSystem, cfg: EngineConfig | None = None, _depth: int = 0) 
     if cur.degree < 0 or negative:
         return Verdict(INCONCLUSIVE, reason="unresolved negative entries",
                        certificate=tuple(steps))
-    if standard:  # sorted and non-negative: the zeros are the tail
-        zeros = ms.count(0)
-        canon = _derived(cur.degree, ms[:len(ms) - zeros]) if zeros else cur
-    else:
-        canon = cur.canonical()
+    zeros = ms.count(0)  # sorted and non-negative: the zeros are the tail
+    canon = _derived(cur.degree, ms[:len(ms) - zeros]) if zeros else cur
     if "axioms" in cfg.stages:
         try:
             v = classify_by_axioms(canon)
@@ -140,7 +140,9 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
     if any(m < 0 for m in mults):
         raise ValueError("classify_space needs non-negative multiplicities")
     vs = vdim_space(D, mults)
-    trace = None
+    # rank targets, each with the steps that lead to it; each contains
+    # the one before, so the first over a cap ends the stage
+    targets = []
     if "reduction" in cfg.stages:
         trace = diagrams.reduce_chain(D, mults)
         if trace.consumed_all:
@@ -154,16 +156,16 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
                               before=trace.final),
                          _reduction_step(enlarged))
                 return Verdict(NON_SPECIAL, dim=0, certificate=steps)
+        if trace.steps:
+            targets.append((trace.final, trace.residual_mults,
+                            (_reduction_step(trace),)))
+    targets.append((D, tuple(mults), ()))
     if "rank" in cfg.stages:
-        if D.cells > cfg.max_cols:
-            return Verdict(INCONCLUSIVE,
-                           reason=f"matrix would have {D.cells} columns "
-                                  f"(cap {cfg.max_cols})")
-        candidates = []
-        if trace is not None and trace.steps and not trace.consumed_all:
-            candidates.append((trace.final, trace.residual_mults, trace))
-        candidates.append((D, tuple(mults), None))
-        for target, ms, pre in candidates:
+        for target, ms, steps in targets:
+            if target.cells > cfg.max_cols:
+                return Verdict(INCONCLUSIVE,
+                               reason=f"matrix would have {target.cells} columns "
+                                      f"(cap {cfg.max_cols})")
             rows, cols = matrix_shape(target, ms)
             if rows * cols > cfg.max_cols ** 2:
                 return Verdict(INCONCLUSIVE,
@@ -171,7 +173,6 @@ def classify_space(D: Diagram, mults, cfg: EngineConfig | None = None) -> Verdic
                                       f"(cap {cfg.max_cols}^2 entries)")
             v = certify_nonspecial_rank(target, ms, cfg.field_cfg)
             if v.kind == NON_SPECIAL:
-                steps = (_reduction_step(pre),) if pre is not None else ()
                 return Verdict(NON_SPECIAL, dim=max(vs, 0),
                                certificate=steps + v.certificate)
     return Verdict(INCONCLUSIVE, reason="all stages inconclusive")

@@ -232,7 +232,9 @@ def run_initial_cases(
     worker processes, opened at the first level with more than one group
     and kept for the rest of the run; the report does not depend on jobs.
     A level holds its members as tails, which sort as their diagrams do:
-    every member shares the prefix (1..a, a^k).
+    every member shares the prefix (1..a, a^k).  The levels run from
+    min(s, max p(D)) down to 0: no member reduces more than max p(D)
+    times, so a higher level would group nothing.
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
@@ -263,7 +265,7 @@ def run_initial_cases(
                            f"count_surviving counts {surviving}")
     workers = min(jobs, _available_cpus())
     pool = None
-    level = s
+    level = min(s, report.max_p_plus_1 - 1)
     with ExitStack() as stack:
         while True:
             groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

@@ -365,11 +365,8 @@ def classify_by_axioms(L: LinearSystem) -> Verdict | None:
 
 
 class GlueError(ValueError):
-    """Raised when a glue step violates one of its preconditions."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+    """Raised when a glue step violates one of its preconditions; the
+    message starts with the precondition's name."""
 
 
 def glue(
@@ -387,9 +384,9 @@ def glue(
     step satisfies vdim L2 - vdim L = -(vdim L(k;m^s) + 1).
     """
     if not cert_small.certifies_nonspecial:
-        raise GlueError("UNCERTIFIED", f"small system verdict is {cert_small.kind}")
+        raise GlueError(f"UNCERTIFIED: small system verdict is {cert_small.kind}")
     if L.count(m) < s:
-        raise GlueError("MISSING_POINTS", f"{L} lacks {s} entries equal to {m}")
+        raise GlueError(f"MISSING_POINTS: {L} lacks {s} entries equal to {m}")
     removed = 0
     new: list[int] = []
     for x in reversed(L.mults):
@@ -401,9 +398,7 @@ def glue(
     L2 = LinearSystem(L.degree, tuple(new) + (k + 1,))
     v1, v2 = vdim(L), vdim(L2)
     if not (-1 <= v2 <= v1 or v1 <= v2 <= -1):
-        raise GlueError(
-            "SANDWICH_VIOLATED", f"vdim {v1} -> {v2} fits neither ordering"
-        )
+        raise GlueError(f"SANDWICH_VIOLATED: vdim {v1} -> {v2} fits neither ordering")
     small = LinearSystem(k, (m,) * s)
     if v2 - v1 != -(vdim(small) + 1):  # raised, not asserted: holds under -O
         raise AssertionError(f"glue broke vdim L2 - vdim L = -(vdim {small} + 1): "

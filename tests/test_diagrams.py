@@ -9,7 +9,6 @@ from fatpoints.diagrams import (
     Diagram,
     InvalidLayerError,
     bar,
-    diagram,
     format_diagram,
     p_of,
     reduce_chain,
@@ -30,7 +29,7 @@ class TestDiagram:
 
     def test_cells_and_canonical(self):
         assert triangle(4).cells == 10
-        assert diagram(1, 2, 0, 0) == Diagram((1, 2))
+        assert Diagram((1, 2, 0, 0)) == Diagram((1, 2))
 
     def test_trailing_zero_layers_trimmed_on_construction(self):
         assert Diagram((1, 2, 0, 0)).layers == (1, 2)
@@ -39,7 +38,7 @@ class TestDiagram:
 
     def test_monomials(self):
         assert monomials(triangle(2)) == [(0, 0), (1, 0), (0, 1)]
-        D = diagram(1, 2, 2)
+        D = Diagram((1, 2, 2))
         assert monomials(D) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
 
     def test_bar(self):
@@ -114,12 +113,12 @@ class TestReduceChain:
 
 class TestSubsetAndEnlarge:
     def test_subset(self):
-        assert subset(diagram(1, 2, 2), triangle(3))
+        assert subset(Diagram((1, 2, 2)), triangle(3))
         assert not subset(triangle(4), triangle(3))
-        assert subset(diagram(1, 2, 0, 0), diagram(1, 2))
+        assert subset(Diagram((1, 2, 0, 0)), Diagram((1, 2)))
 
     def test_enlarge_success(self):
-        trace = try_empty_by_enlarge(diagram(1, 2), (2,))
+        trace = try_empty_by_enlarge(Diagram((1, 2)), (2,))
         assert trace is not None
         assert trace.initial == triangle(2)
         assert trace.consumed_all and trace.final.cells == 0
@@ -129,4 +128,4 @@ class TestSubsetAndEnlarge:
 
     def test_enlarge_fails_without_exact_triangle(self):
         # 7 conditions fit no triangle exactly
-        assert try_empty_by_enlarge(diagram(1, 2), (3, 1)) is None
+        assert try_empty_by_enlarge(Diagram((1, 2)), (3, 1)) is None

@@ -161,6 +161,78 @@ class TestClassify:
         assert (step.op, step.params["rows"], step.params["cols"]) == ("rank", 2808, 81)
 
 
+# The 16 systems of the m = 10 box (L(d; m0, 10^r), r, m0 <= 30,
+# vdim <= 40) whose triangle has more than 2,000 cells
+OVER_CAP_SETTLED = ["L(62;29,10^28)", "L(62;30,10^29)", "L(62;25,10^30)",
+                    "L(62;28,10^30)", "L(62;29,10^30)", "L(62;30,10^30)",
+                    "L(63;30,10^30)"]
+OVER_CAP_INCONCLUSIVE = [
+    ("L(62;26,10^30)", 2016), ("L(62;27,10^30)", 2016), ("L(62;28,10^29)", 2016),
+    ("L(63;28,10^30)", 2080), ("L(62;29,10^29)", 2016), ("L(63;29,10^30)", 2080),
+    ("L(62;30,10^28)", 2016), ("L(63;30,10^29)", 2080), ("L(64;30,10^30)", 2145),
+]
+
+
+class TestRankTargets:
+    """Each rank target, the chain end and then the whole triangle, is
+    checked against the caps before its matrix is built."""
+
+    @pytest.mark.parametrize("text", OVER_CAP_SETTLED)
+    def test_chain_end_settles_a_system_whose_triangle_is_over_the_cap(self, text):
+        L = parse_system(text)
+        v = classify(L)
+        assert v.conclusive and v.dim == edim(L)
+        reduction, rank = v.certificate[-2:]
+        assert (reduction.op, rank.op) == ("reduce_chain", "rank")
+        assert reduction.after.cells <= DEFAULT_CONFIG.max_cols
+
+    @pytest.mark.parametrize("text, cells", OVER_CAP_INCONCLUSIVE)
+    def test_triangle_over_the_cap_after_a_special_chain_end(self, text, cells):
+        v = classify(parse_system(text))
+        assert v.kind == INCONCLUSIVE
+        assert v.reason == f"matrix would have {cells} columns (cap 2000)"
+
+    @staticmethod
+    def recorded_builds(monkeypatch):
+        built = []
+        real = fplinalg.build_matrix
+
+        def recording(*args, **kwargs):
+            A = real(*args, **kwargs)
+            built.append(A.shape)
+            return A
+
+        monkeypatch.setattr(fplinalg, "build_matrix", recording)
+        return built
+
+    # under ("reduction", "rank") the chain on triangle(5) ends at a
+    # 3-cell diagram for L(4;2^5) and L(4;2^6)
+    def test_chain_end_within_a_small_cap_settles(self, monkeypatch):
+        built = self.recorded_builds(monkeypatch)
+        cfg = EngineConfig(stages=("reduction", "rank"), max_cols=3)
+        v = classify(parse_system("L(4;2^6)"), cfg)
+        assert v.kind == EMPTY
+        assert [s.op for s in v.certificate] == ["reduce_chain", "rank"]
+        assert built and all(cols <= 3 for _, cols in built)
+
+    def test_special_chain_end_then_triangle_over_a_small_cap(self, monkeypatch):
+        # L(4;2^5) is -1-special, so no rank settles its chain end
+        built = self.recorded_builds(monkeypatch)
+        cfg = EngineConfig(stages=("reduction", "rank"), max_cols=4)
+        v = classify(parse_system("L(4;2^5)"), cfg)
+        assert v.kind == INCONCLUSIVE
+        assert v.reason == "matrix would have 15 columns (cap 4)"
+        assert built and all(cols <= 4 for _, cols in built)
+
+    def test_chain_end_over_a_small_cap(self, monkeypatch):
+        built = self.recorded_builds(monkeypatch)
+        cfg = EngineConfig(stages=("reduction", "rank"), max_cols=2)
+        v = classify(parse_system("L(4;2^5)"), cfg)
+        assert v.kind == INCONCLUSIVE
+        assert v.reason == "matrix would have 3 columns (cap 2)"
+        assert built == []
+
+
 class TestClassifySpace:
     def test_worked_example_dimension(self):
         v = classify_space(triangle(32), [12] + [9] * 9)

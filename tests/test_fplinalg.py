@@ -16,7 +16,7 @@ from fatpoints._gauss import (
     _rank_mod_p_scalar,
     rank_mod_p,
 )
-from fatpoints.diagrams import Diagram, diagram, p_of, reduce_chain, triangle
+from fatpoints.diagrams import Diagram, p_of, reduce_chain, triangle
 from fatpoints import fplinalg
 from fatpoints.fplinalg import (
     DegeneratePointsError,
@@ -115,8 +115,8 @@ def _build_matrix_reference(D, mults, points, p, fold=0):
 class TestBuildMatrix:
     @pytest.mark.parametrize("D, mults", [
         (triangle(8), [3, 2, 2, 1]),
-        (diagram(1, 2, 3, 2, 4, 0, 1), [5, 1, 2]),  # orders beyond some degrees
-        (diagram(1, 1, 1), [4, 4]),
+        (Diagram((1, 2, 3, 2, 4, 0, 1)), [5, 1, 2]),  # orders beyond some degrees
+        (Diagram((1, 1, 1)), [4, 4]),
         (triangle(1), [1]),
     ])
     def test_matches_entrywise_reference(self, D, mults):
@@ -693,7 +693,7 @@ class TestInterpolationRank:
     @pytest.mark.parametrize("D, mults, shape", [
         (triangle(5), [2, 3, 3, 1], (4, 4)),  # a tie: the first 3 goes
         (triangle(3), [5, 1], (0, 0)),  # m >= nlayers
-        (diagram(1, 2, 2, 2), [3, 1], (0, 1)),  # no triangle(3) inside D
+        (Diagram((1, 2, 2, 2)), [3, 1], (0, 1)),  # no triangle(3) inside D
         (triangle(4), [2], (0, 7)),  # a single point: no row left
         (triangle(3), [4, 2], (0, 0)),  # the diagram emptied: no column left
         (triangle(5), [2] * 5, (9, 9)),  # L(4; 2^5): deficient
@@ -709,7 +709,7 @@ class TestInterpolationRank:
 
     def test_ties_move_the_first_heaviest_point(self, builds):
         # not a full triangle, so the double point is not sent to [0:1:0]
-        D, points = diagram(1, 2, 3, 4, 4), [(3, 4), (10, 20), (30, 50)]
+        D, points = Diagram((1, 2, 3, 4, 4)), [(3, 4), (10, 20), (30, 50)]
         got = interpolation_rank(D, [2, 3, 3], points, P)
         ((_, ms, moved, _),) = builds
         assert ms == [2]
@@ -728,9 +728,9 @@ class TestInterpolationRank:
         (triangle(8), [4, 2, 1, 1], (1, 25), (1, 22)),
         # a tie m0 = m1 = 3 on (4, 4, 3) from degree 3: slice 0 (3 cells,
         # k = 3) is all pivots, slices 1 and 2 keep 1 and 2, slice 3 is kept
-        (diagram(1, 2, 3, 4, 4, 3), [3, 1, 3], (1, 11), (1, 5)),
+        (Diagram((1, 2, 3, 4, 4, 3)), [3, 1, 3], (1, 11), (1, 5)),
         # k >= n in every slice b < m1: only x^0 y^3 is left
-        (diagram(1, 2, 3, 4, 2), [3, 3, 2, 1], (4, 6), (4, 1)),
+        (Diagram((1, 2, 3, 4, 2)), [3, 3, 2, 1], (4, 6), (4, 1)),
         # two slices of 30 degrees from 23: k = 23 and 22 differences
         (Diagram((1,) + (2,) * 52), [23, 23, 2], (3, 60), (3, 15)),
     ])
@@ -756,7 +756,7 @@ class TestInterpolationRank:
     def test_a_point_on_the_first_ones_vertical_line(self, builds):
         # (5, 11) shares p0's x coordinate: it moves to x = 0 (D is not a
         # full triangle, so it is not sent on to [0:1:0])
-        D, points = diagram(1, 2, 3, 4, 5, 6, 6), [(5, 7), (9, 2), (5, 11), (8, 3)]
+        D, points = Diagram((1, 2, 3, 4, 5, 6, 6)), [(5, 7), (9, 2), (5, 11), (8, 3)]
         got = interpolation_rank(D, [3, 2, 2, 1], points, P)
         ((_, ms, moved, _),) = builds
         assert ms == [2, 1] and moved[0][0] == 0
@@ -796,7 +796,7 @@ class TestInterpolationRank:
         assert A.tolist() == _build_matrix_reference(rest, [2, 1], points, P)
 
     def test_not_down_closed_takes_the_whole_matrix(self, builds):
-        D = diagram(1, 2, 1, 3)
+        D = Diagram((1, 2, 1, 3))
         assert not D.down_closed
         points = [(3, 4), (10, 20)]
         assert interpolation_rank(D, [2, 1], points, P) == _whole_rank(D, [2, 1], points)
@@ -907,7 +907,7 @@ class TestThirdPointRank:
 
     def test_not_on_a_triangle_with_a_short_last_layer(self, builds):
         # (1, ..., 6, 6) is down-closed, but the move would not keep its span
-        D, points = diagram(1, 2, 3, 4, 5, 6, 6), [(2, 3), (7, 5), (4, 9), (11, 13)]
+        D, points = Diagram((1, 2, 3, 4, 5, 6, 6)), [(2, 3), (7, 5), (4, 9), (11, 13)]
         got = interpolation_rank(D, [3, 2, 2, 1], points, P)
         ((_, ms, _, _),) = builds
         assert ms == [2, 1]

@@ -220,6 +220,18 @@ class TestRun:
         assert a.result == b.result == "NOT_OK"
         assert a.counterexample == b.counterexample
 
+    def test_levels_start_at_the_most_reductions_a_member_has(self):
+        # no member reduces more than max p(D) times, so a larger s runs
+        # the same levels; one level per unit of s would not finish here
+        spec = FamilySpec(5, 10, 1)
+        top = max_p_plus_1(spec) - 1
+        a = run_initial_cases(spec, s=10**9, jobs=1, cfg=PrimeFieldConfig())
+        b = run_initial_cases(spec, s=top, jobs=1, cfg=PrimeFieldConfig())
+        assert (a.s, b.s) == (10**9, top)
+        assert a.levels[0].level == top
+        assert a.counterexample == b.counterexample == "(~10,10,8)"
+        assert {**a.to_dict(), "s": top} == b.to_dict()
+
     def test_checked_counts_certificates_run(self, monkeypatch):
         # a group whose first certificate fails never runs its second
         calls = []
