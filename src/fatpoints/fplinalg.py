@@ -92,11 +92,14 @@ the largest entry, so the table itself is reduced only once every 30
 passes, which keeps it below 2^30·p < 2^61 in int64.  The columns of
 slice b are one run of the output, as the columns go slice by slice.
 
-numpy and the kernel are imported inside ``build_matrix``, ``rank`` and
-``task_rng``, so they load at the first matrix, not with the package.
-Standard form, the axioms, glueing and reduction need no matrix, and a
-process that only runs those never pays numpy's import, which is most of
-the package's start-up time.
+numpy and the kernel are imported inside ``build_matrix`` and ``rank``,
+so they load at the first matrix, not with the package.  Standard form,
+the axioms, glueing and reduction need no matrix, and a process that
+only runs those never pays numpy's import, which is most of the
+package's start-up time.  The points of a certificate come from the
+standard library's ``random.Random`` (``task_rng``), so a certificate
+loads numpy and the kernel but not numpy.random, which would bring
+secrets, hashlib and OpenSSL's libcrypto, about 6 MB of resident memory.
 
 Unlucky points.  A maximal minor of the matrix is a polynomial in the
 point coordinates of degree at most N·e (N its size, e the largest
@@ -115,6 +118,7 @@ only the chance of a retry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -122,6 +126,8 @@ from .diagrams import Diagram, triangle
 from .systems import INCONCLUSIVE, NON_SPECIAL, Step, Verdict
 
 if TYPE_CHECKING:
+    import random
+
     import numpy as np
 
 DEFAULT_PRIME = 2**31 - 1
@@ -161,9 +167,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_modulus(p: int) -> None:
+@lru_cache(maxsize=16, typed=True)
+def _check_prime(p: int) -> None:
+    """Refuse a modulus that is not a prime below 2^31.  Cached per
+    modulus: the primality test takes about 15 µs, and a family run builds
+    and ranks some 2,000 matrices with one p."""
     if p >= P_LIMIT:
         raise ValueError(f"p must be below 2^31 for exact arithmetic, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -178,37 +190,40 @@ class PrimeFieldConfig:
         if self.p <= 10**6:
             raise ValueError("p must exceed 10^6 so derivative coefficients "
                              "never vanish spuriously")
-        _check_modulus(self.p)
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        _check_prime(self.p)
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
 
 
-def task_rng(cfg: PrimeFieldConfig, key: str) -> np.random.Generator:
+def task_rng(cfg: PrimeFieldConfig, key: str) -> random.Random:
     """Deterministic per-task stream derived from (seed, task key).
 
-    Parallel and serial runs see identical streams because the stream
-    depends only on the task content, never on scheduling order.
+    The stream is ``random.Random(f"{cfg.seed}:{key}")``: CPython's
+    Mersenne Twister seeded from the bytes of that string and their
+    SHA-512 digest, so it depends neither on numpy nor on
+    ``PYTHONHASHSEED``.  Parallel and serial runs see identical streams
+    because the stream depends only on the task content, never on
+    scheduling order.
     """
-    # imported on first use: hashlib maps OpenSSL's libcrypto, about 3.5 MB
-    # of resident memory that a process which never samples points is spared
-    import hashlib
+    # imported on first use, as numpy is
+    import random
 
-    import numpy as np
-
-    digest = hashlib.sha256(f"{cfg.seed}:{key}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return random.Random(f"{cfg.seed}:{key}")
 
 
-def sample_points(n: int, p: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """n points in F_p^2 with pairwise distinct x and y coordinates."""
+def sample_points(n: int, p: int, rng: random.Random) -> list[tuple[int, int]]:
+    """n points in F_p^2 with pairwise distinct x and y coordinates.
+
+    Point by point, x then y, each coordinate is ``rng.randrange(1, p)``;
+    a point whose x or y repeats an earlier point's is dropped and the
+    next pair is drawn.
+    """
     xs: set[int] = set()
     ys: set[int] = set()
     pts: list[tuple[int, int]] = []
     while len(pts) < n:
-        x = int(rng.integers(1, p))
-        y = int(rng.integers(1, p))
+        x = rng.randrange(1, p)
+        y = rng.randrange(1, p)
         if x in xs or y in ys:
             continue
         xs.add(x)
@@ -224,7 +239,7 @@ def _check_points(mults: list, points: list, p: int) -> None:
         raise ValueError("build_matrix needs multiplicities >= 1")
     if len(set(points)) != len(points):
         raise DegeneratePointsError("repeated interpolation points")
-    _check_modulus(p)
+    _check_prime(p)
 
 
 def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
@@ -234,7 +249,8 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
     Row (point j, derivative (alpha, beta)) and column (monomial x^a y^b)
     hold the falling-factorial coefficient a!/(a-alpha)! * b!/(b-beta)!
     times x^(a-alpha) y^(b-beta), taken as zero when alpha > a or
-    beta > b; all arithmetic is mod p.  The columns go layer by layer.
+    beta > b; all arithmetic is mod p, a prime below 2^31.  The columns
+    go layer by layer.
 
     ``fold`` = m1 > 0 gives instead the matrix left after a point of
     multiplicity m1 at (1, 0) is folded out (see the module docstring).
@@ -307,12 +323,13 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
 
 
 def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
-    """Exact rank of an integer matrix over F_p, p < 2^31."""
+    """Exact rank of an integer matrix over F_p; p must be a prime below
+    2^31, else ``ValueError``."""
     import numpy as np
 
     from ._gauss import rank_mod_p
 
-    _check_modulus(p)
+    _check_prime(p)
     return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
 
 

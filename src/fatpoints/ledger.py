@@ -266,8 +266,8 @@ def _script_degree_drop(L: LinearSystem,
     if dropped is None:
         raise ValueError("degree drop needs vdim(L(d-1;M)) >= -1")
     steps.append(Step("degree_drop", {}, before=std, after=dropped))
-    record_standard_form(dropped, steps)
-    sub = classify(dropped, cfg)
+    # classify the standard form, so its chain is recorded once
+    sub = classify(record_standard_form(dropped, steps), cfg)
     if not sub.certifies_nonspecial:
         sub = Verdict(INCONCLUSIVE, reason="degree-drop target not certified")
     return tuple(steps), sub

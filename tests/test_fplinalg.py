@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from math import comb
 
@@ -72,11 +73,11 @@ class TestConfig:
 
     def test_task_rng_depends_on_key_and_seed(self):
         cfg = PrimeFieldConfig()
-        a = task_rng(cfg, "k1").integers(0, 2**30)
-        b = task_rng(cfg, "k2").integers(0, 2**30)
-        c = task_rng(cfg, "k1").integers(0, 2**30)
+        a = task_rng(cfg, "k1").randrange(2**30)
+        b = task_rng(cfg, "k2").randrange(2**30)
+        c = task_rng(cfg, "k1").randrange(2**30)
         assert a == c and a != b
-        other = task_rng(PrimeFieldConfig(seed=1), "k1").integers(0, 2**30)
+        other = task_rng(PrimeFieldConfig(seed=1), "k1").randrange(2**30)
         assert other != a
 
 
@@ -86,6 +87,15 @@ class TestSampling:
         pts = sample_points(50, cfg.p, task_rng(cfg, "sampling"))
         assert len({x for x, _ in pts}) == 50
         assert len({y for _, y in pts}) == 50
+
+    def test_stream_is_pinned(self):
+        # random.Random seeded with "0:pin", x then y; the same on every
+        # Python from 3.10 and whatever PYTHONHASHSEED is
+        pts = sample_points(3, 2**31 - 1, task_rng(PrimeFieldConfig(), "pin"))
+        assert pts == [(345773499, 1528805532), (985683776, 1710273571),
+                       (1733450060, 2007363975)]
+        assert task_rng(PrimeFieldConfig(seed=7), "pin").getstate() == (
+            random.Random("7:pin").getstate())
 
 
 def _build_matrix_reference(D, mults, points, p, fold=0):
@@ -121,7 +131,7 @@ class TestBuildMatrix:
     ])
     def test_matches_entrywise_reference(self, D, mults):
         p = PrimeFieldConfig().p
-        rng = np.random.default_rng(len(mults))
+        rng = random.Random(len(mults))
         points = sample_points(len(mults) - 1, p, rng) + [(p - 1, p - 2)]
         A = build_matrix(D, mults, points, p)
         assert A.dtype == np.int64
@@ -167,7 +177,7 @@ class TestBuildMatrix:
         rest = Diagram((0,) * m0 + D.layers[m0:])
         fold = int(rng.integers(1, m0 + 1))
         mults = [int(m) for m in rng.integers(1, fold + 1, size=int(rng.integers(1, 4)))]
-        points = sample_points(len(mults), P, rng)
+        points = sample_points(len(mults), P, random.Random(seed))
         A = build_matrix(rest, mults, points, P, fold=fold)
         assert A.tolist() == _build_matrix_reference(rest, mults, points, P, fold)
 
@@ -176,7 +186,7 @@ class TestBuildMatrix:
     def test_fold_on_long_slices(self, m1):
         rest = Diagram((0,) * 61 + (2,) * 64)
         mults = [3, 1, 2]
-        points = sample_points(3, P, np.random.default_rng(m1))
+        points = sample_points(3, P, random.Random(m1))
         A = build_matrix(rest, mults, points, P, fold=m1)
         assert A.shape == (10, 2 * 64 - (2 * m1 - 1))
         assert A.tolist() == _build_matrix_reference(rest, mults, points, P, m1)
@@ -192,7 +202,7 @@ class TestBuildMatrix:
         # L(37; 12, 10^12), whole and as interpolation_rank builds it: the
         # output and one full-size factor, not a third copy
         D, mults = triangle(38), [12] + [10] * 12
-        points = sample_points(len(mults), P, np.random.default_rng(0))
+        points = sample_points(len(mults), P, random.Random(0))
         if fold:
             D, mults, points = Diagram((0,) * 12 + D.layers[12:]), mults[2:], points[2:]
         build_matrix(D, mults, points, P, fold=fold)  # numpy's first-use allocations
@@ -270,6 +280,34 @@ class TestRank:
                 rank(A, p)
         with pytest.raises(ValueError, match="below 2"):
             build_matrix(triangle(2), [1], [(5, 7)], 2**61 - 1)
+
+    # composite, zero, one and negative moduli: F_p is a field only for a
+    # prime p, so the kernel's inverses and ranks would mean nothing
+    @pytest.mark.parametrize("p", [4, 0, 1, -7, -2, 2**31 - 3, 46337 * 46327])
+    def test_rejects_modulus_that_is_not_prime(self, p):
+        refused = f"p must be prime, got {p}$"
+        for A in ([[2, 0], [0, 1]], [[3]]):
+            with pytest.raises(ValueError, match=refused):
+                rank(A, p)
+        with pytest.raises(ValueError, match=refused):
+            build_matrix(triangle(2), [1], [(5, 7)], p)
+        # the moves invert differences mod p before any matrix is built
+        with pytest.raises(ValueError, match=refused):
+            interpolation_rank(triangle(3), [1, 1], [(1, 1), (3, 2)], p)
+
+    def test_primality_is_tested_once_per_modulus(self, monkeypatch):
+        calls = []
+        is_prime = fplinalg._is_prime
+        monkeypatch.setattr(fplinalg, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+        fplinalg._check_prime.cache_clear()
+        for _ in range(50):
+            assert rank([[1, 2]], 1_000_003) == 1
+        assert calls == [1_000_003]
+
+    def test_small_primes_are_fields(self):
+        assert rank([[2, 0], [0, 1]], 7) == 2
+        assert rank([[3]], 2) == 1 and rank([[2]], 2) == 0
+        assert rank(np.array([[1, 1], [1, 1]]), 3) == 1
 
 
 P = 2**31 - 1
@@ -681,7 +719,7 @@ class TestInterpolationRank:
         D = _random_down_closed(rng, int(rng.integers(1, 10)))
         assert D.down_closed
         mults = [int(m) for m in rng.integers(1, 6, size=int(rng.integers(1, 7)))]
-        random_points = sample_points(len(mults), P, rng)
+        random_points = sample_points(len(mults), P, random.Random(seed))
         # points on the line y = 2x + 5 impose dependent conditions, so the
         # rank is often deficient; the line misses the origin, so the
         # moved configuration differs from the unmoved one
@@ -735,8 +773,7 @@ class TestInterpolationRank:
         (Diagram((1,) + (2,) * 52), [23, 23, 2], (3, 60), (3, 15)),
     ])
     def test_slices_short_and_long(self, builds, ranked, D, mults, built, folded):
-        rng = np.random.default_rng(len(mults))
-        points = sample_points(len(mults), P, rng)
+        points = sample_points(len(mults), P, random.Random(len(mults)))
         got = interpolation_rank(D, mults, points, P)
         ((rest, _, _, shape),) = builds
         assert [shape] == ranked == [folded]
@@ -852,6 +889,7 @@ class TestThirdPointRank:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_whole_matrix(self, builds, seed):
         rng = np.random.default_rng(1000 + seed)
+        point_rng = random.Random(1000 + seed)
         moved = 0
         for _ in range(10):
             n = int(rng.integers(3, 12))
@@ -860,7 +898,7 @@ class TestThirdPointRank:
             # small coordinates put points on common lines, so guards trip
             # and ranks are often deficient
             small = list(dict.fromkeys(map(tuple, rng.integers(1, 5, size=(r, 2)).tolist())))
-            for points in (sample_points(r, P, rng), small):
+            for points in (sample_points(r, P, point_rng), small):
                 ms = mults[:len(points)]
                 builds.clear()
                 got = interpolation_rank(triangle(n), ms, points, P)

@@ -1,5 +1,7 @@
 """The symbolic layer runs without numpy, the rank kernel or
-multiprocessing: they load at the first matrix and the first pool."""
+multiprocessing: they load at the first matrix and the first pool.  A
+rank certificate loads numpy and the kernel, but not numpy.random or
+hashlib."""
 from __future__ import annotations
 
 import os
@@ -27,6 +29,10 @@ fp.classify(fp.parse_system("L(3;)"), fp.EngineConfig(stages=("rank",)))
 print(" ".join(m for m in ("numpy", "fatpoints._gauss", "multiprocessing")
                if m in sys.modules))
 print(fp.rank([[1, 2], [3, 4]]), "numpy" in sys.modules)
+v = fp.classify(fp.parse_system("L(6;2^5)"), fp.EngineConfig(stages=("rank",)))
+assert v.kind == "NonSpecial" and v.certificate[-1].params["attempt"] == 1, v
+print(" ".join(m for m in ("numpy.random", "secrets", "hashlib", "_hashlib")
+               if m in sys.modules))
 """
 
 
@@ -37,6 +43,9 @@ def test_numpy_loads_at_the_first_matrix():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded_before, after_rank = proc.stdout.splitlines()
+    loaded_before, after_rank, after_certificate = proc.stdout.splitlines()
     assert loaded_before == ""
     assert after_rank == "2 True"
+    # points come from random.Random: numpy.random would load secrets,
+    # hashlib and OpenSSL's libcrypto
+    assert after_certificate == ""

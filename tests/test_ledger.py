@@ -403,7 +403,18 @@ def test_report_bytes_are_pinned(grid):
                    f"{json.dumps([s.to_dict() for s in v.certificate], sort_keys=True)}"
                    for L, v in settled)
     assert _sha256("\n".join(lines)) == (
-        "587a2c125303a8e85e23cd288232601d69fc8206233e09ac32ddf3e534302d3c")
+        "e32dadbf11ffbecb2aadfbcd266caa0735c51578556db5a3860a3159113a1af1")
+
+
+def test_degree_drop_names_each_standard_form_once(grid):
+    # the script records the dropped system's standard form and classifies
+    # that form, so the classification adds no second copy of the chain
+    dropped = [(L, v) for L, v in grid[1]
+               if any(s.op == "degree_drop" for s in v.certificate)]
+    assert {str(L) for L, _ in dropped} >= {"L(31;13,9^9)", "L(35;16,10^9)"}
+    for L, v in dropped:
+        chains = [s.params["chain"] for s in v.certificate if s.op == "standard_form"]
+        assert len(set(map(tuple, chains))) == len(chains), str(L)
 
 
 class TestDegreeDrop:
