@@ -1,10 +1,17 @@
 """Exact rank over a word-sized prime field F_p, p < 2^31, by blocked
 elimination with float64 BLAS products.
 
-The kernel works on a reduced copy of its argument, with the rows in
-order of their first nonzero column. The rank does not depend on the row
-order, and on interpolation matrices this order puts a usable pivot at
-the top of most columns, so few pivots need a row swap.
+The kernel puts the rows in order of their first nonzero column and
+reduces them mod p. The rank does not depend on the row order, and on
+interpolation matrices this order puts a usable pivot at the top of most
+columns, so few pivots need a row swap. By default it works on a sorted,
+reduced copy and leaves its argument as it is. With ``overwrite`` a
+matrix of more than 2·CHUNK rows is the working storage: its rows are
+sorted in place, along the cycles of the sorting permutation with one
+saved row per cycle, and it is reduced and eliminated in place, so the
+call holds no second matrix-sized array. A smaller one is still copied,
+as moving its rows one at a time costs more than the copy, which is no
+larger than the temporaries of a trailing update below.
 
 The kernel then walks the columns in panels of PANEL columns. Inside a
 panel it is left-looking and takes one pivot step at a time, of width
@@ -125,14 +132,38 @@ def _inverse4(B: list, p: int) -> np.ndarray | None:
     return np.array([(x * d + h) % p - h for x in adj], dtype=np.int64).reshape(4, 4)
 
 
-def rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank of the int64 matrix A over F_p, p < 2^31; A is left as it is."""
+def _permute_rows(A: np.ndarray, order: list) -> None:
+    """Make row i of A its row order[i], in place: each cycle of the
+    permutation is walked with one saved row."""
+    done = bytearray(len(order))
+    for i, k in enumerate(order):
+        if done[i] or k == i:
+            continue
+        saved = A[i].copy()
+        j = i
+        while k != i:
+            A[j] = A[k]
+            done[j] = 1
+            j = k
+            k = order[j]
+        A[j] = saved
+        done[j] = 1
+
+
+def rank_mod_p(A: np.ndarray, p: int, *, overwrite: bool = False) -> int:
+    """Rank of the int64 matrix A over F_p, p < 2^31.  A is left as it
+    is, unless ``overwrite``: then A may serve as working storage, and its
+    entries are left undefined."""
     m, n = A.shape
     if m == 0 or n == 0:
         return 0
     # the key reads the entries as given: one that is a nonzero multiple
     # of p can only make the order worse, never the rank wrong
-    A = A[np.argsort((A != 0).argmax(axis=1), kind="stable")]
+    order = np.argsort((A != 0).argmax(axis=1), kind="stable")
+    if overwrite and m > 2 * CHUNK:
+        _permute_rows(A, order.tolist())
+    else:
+        A = A[order]
     A %= p
     r = 0
     grown = 0  # trailing updates since the trailing block was last reduced

@@ -117,6 +117,7 @@ only the chance of a retry.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -137,6 +138,8 @@ P_LIMIT = 2**31
 # fold passes between reductions: 2^FOLD_REDUCE·p stays below 2^63
 FOLD_REDUCE = 30
 assert 2**FOLD_REDUCE * P_LIMIT < 2**63
+# entries in one block of rows that ``build_matrix`` fills at a time (128 KiB)
+BUILD_BLOCK = 1 << 14
 
 
 class DegeneratePointsError(ValueError):
@@ -187,6 +190,9 @@ class PrimeFieldConfig:
     attempts: int = 3
 
     def __post_init__(self) -> None:
+        # numpy integers are accepted, and floats refused, as p is coerced
+        # before the cached primality check, which tells types apart
+        object.__setattr__(self, "p", operator.index(self.p))
         if self.p <= 10**6:
             raise ValueError("p must exceed 10^6 so derivative coefficients "
                              "never vanish spuriously")
@@ -216,8 +222,12 @@ def sample_points(n: int, p: int, rng: random.Random) -> list[tuple[int, int]]:
 
     Point by point, x then y, each coordinate is ``rng.randrange(1, p)``;
     a point whose x or y repeats an earlier point's is dropped and the
-    next pair is drawn.
+    next pair is drawn.  Only p - 1 nonzero coordinates exist, so n > p - 1
+    raises ``ValueError``.
     """
+    if n > p - 1:
+        raise ValueError(f"{n} points with distinct nonzero coordinates "
+                         f"need n <= p - 1, got p = {p}")
     xs: set[int] = set()
     ys: set[int] = set()
     pts: list[tuple[int, int]] = []
@@ -250,7 +260,10 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
     hold the falling-factorial coefficient a!/(a-alpha)! * b!/(b-beta)!
     times x^(a-alpha) y^(b-beta), taken as zero when alpha > a or
     beta > b; all arithmetic is mod p, a prime below 2^31.  The columns
-    go layer by layer.
+    go layer by layer.  Besides the result, the call holds per-point
+    tables with one row per point and derivative order in x or in y, and
+    temporaries of one block of ``BUILD_BLOCK`` entries: the result is
+    filled and reduced a block of rows at a time.
 
     ``fold`` = m1 > 0 gives instead the matrix left after a point of
     multiplicity m1 at (1, 0) is folded out (see the module docstring).
@@ -260,6 +273,7 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
     """
     import numpy as np
 
+    p = operator.index(p)
     mults = list(mults)
     points = list(points)
     _check_points(mults, points, p)
@@ -316,21 +330,38 @@ def build_matrix(D: Diagram, mults, points, p: int = DEFAULT_PRIME,
             X %= p
         lo, hi = run[fold - k], run[fold - k + 1]
         np.remainder(X[:, ea[lo:hi]], p, out=G[:, lo:hi])
-    A = G[pt + al]
-    A *= Y[:, eb][pt + be]
-    A -= A // p * p  # cheaper than % on a block
+    # the result is filled a block of rows at a time, each row the product
+    # of its x-table row and y-table row (G and Y gathered to the kept
+    # columns), so no temporary is larger than a block
+    ix, iy = pt + al, pt + be
+    Y = Y[:, eb]
+    A = np.empty((rows, n), dtype=np.int64)
+    step = max(1, BUILD_BLOCK // n)
+    for i in range(0, rows, step):
+        B = A[i:i + step]
+        np.multiply(G[ix[i:i + step]], Y[iy[i:i + step]], out=B)
+        B -= B // p * p  # cheaper than % on a block
     return A
 
 
-def rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
+def rank(A: np.ndarray, p: int = DEFAULT_PRIME, *, overwrite: bool = False) -> int:
     """Exact rank of an integer matrix over F_p; p must be a prime below
-    2^31, else ``ValueError``."""
+    2^31, else ``ValueError``.
+
+    A is left as it is, and the kernel works on a sorted, reduced copy.
+    With ``overwrite`` (scipy's ``overwrite_a``), an int64 ndarray A of
+    more than 2·``_gauss.CHUNK`` rows is the kernel's working storage
+    instead, so the call holds no second copy of it; A's entries are then
+    left undefined.  Any other A is converted to int64 first, so only the
+    converted copy changes.
+    """
     import numpy as np
 
     from ._gauss import rank_mod_p
 
+    p = operator.index(p)
     _check_prime(p)
-    return int(rank_mod_p(np.asarray(A, dtype=np.int64), p))
+    return int(rank_mod_p(np.asarray(A, dtype=np.int64), p, overwrite=overwrite))
 
 
 def matrix_shape(D: Diagram, mults) -> tuple[int, int]:
@@ -357,11 +388,13 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
     module docstring).  Any other D, or no point, gets the plain matrix.
     Either way one ``build_matrix`` and one ``rank`` call are made.
     """
+    p = operator.index(p)
     mults = list(mults)
     points = list(points)
     _check_points(mults, points, p)
+    # the matrix is built for this call only, so the kernel works in it
     if not points or not D.down_closed:
-        return rank(build_matrix(D, mults, points, p), p)
+        return rank(build_matrix(D, mults, points, p), p, overwrite=True)
     i = mults.index(max(mults))
     m0 = mults.pop(i)
     x0, y0 = points.pop(i)
@@ -392,7 +425,7 @@ def interpolation_rank(D: Diagram, mults, points, p: int = DEFAULT_PRIME) -> int
     rest = Diagram(tuple(min(c, top) if j >= m0 else 0 for j, c in enumerate(D.layers)))
     A = build_matrix(rest, mults, points, p, fold=m1)
     # each cell the fold leaves out holds one pivot of the point at (1, 0)
-    return fixed + rest.cells - A.shape[1] + rank(A, p)
+    return fixed + rest.cells - A.shape[1] + rank(A, p, overwrite=True)
 
 
 def certify_nonspecial_rank(

@@ -11,6 +11,7 @@ from cells import monomials
 from fatpoints import _gauss
 from fatpoints._gauss import (
     BLOCK,
+    CHUNK,
     PANEL,
     P_LIMIT,
     _inverse4,
@@ -18,6 +19,7 @@ from fatpoints._gauss import (
     rank_mod_p,
 )
 from fatpoints.diagrams import Diagram, p_of, reduce_chain, triangle
+from fatpoints.engine import EngineConfig, classify
 from fatpoints import fplinalg
 from fatpoints.fplinalg import (
     DegeneratePointsError,
@@ -37,6 +39,7 @@ from fatpoints.initial_cases import (
     tails,
 )
 from fatpoints.systems import INCONCLUSIVE, NON_SPECIAL
+from fatpoints.textio import parse_system
 
 
 class TestConfig:
@@ -67,6 +70,12 @@ class TestConfig:
             assert _is_prime(n) == sympy.isprime(n), n
         assert not _is_prime(1_373_653) and not _is_prime(25_326_001)
 
+    def test_numpy_integer_modulus(self):
+        cfg = PrimeFieldConfig(p=np.int64(2**31 - 1))
+        assert cfg.p == 2**31 - 1 and type(cfg.p) is int
+        with pytest.raises(TypeError):
+            PrimeFieldConfig(p=float(2**31 - 1))
+
     def test_rejects_zero_attempts(self):
         with pytest.raises(ValueError):
             PrimeFieldConfig(attempts=0)
@@ -96,6 +105,13 @@ class TestSampling:
                        (1733450060, 2007363975)]
         assert task_rng(PrimeFieldConfig(seed=7), "pin").getstate() == (
             random.Random("7:pin").getstate())
+
+    def test_refuses_more_points_than_nonzero_coordinates(self):
+        # F_3 has two nonzero coordinates, so a third point cannot be drawn
+        with pytest.raises(ValueError, match="3 points .* need n <= p - 1, got p = 3"):
+            sample_points(3, 3, random.Random(0))
+        pts = sample_points(2, 3, random.Random(0))
+        assert sorted(x for x, _ in pts) == sorted(y for _, y in pts) == [1, 2]
 
 
 def _build_matrix_reference(D, mults, points, p, fold=0):
@@ -303,6 +319,29 @@ class TestRank:
         for _ in range(50):
             assert rank([[1, 2]], 1_000_003) == 1
         assert calls == [1_000_003]
+
+    def test_numpy_integer_modulus(self, monkeypatch):
+        # p is coerced before the primality check, which is cached by type:
+        # an int and an np.int64 of one prime are tested once between them
+        calls = []
+        is_prime = fplinalg._is_prime
+        monkeypatch.setattr(fplinalg, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+        fplinalg._check_prime.cache_clear()
+        q = 1_000_033
+        assert rank([[1, 2], [3, 4]], np.int64(7)) == 2
+        assert rank([[1, 2], [3, 4]], q) == rank([[1, 2], [3, 4]], np.int64(q)) == 2
+        args = (triangle(4), [2, 1], [(5, 7), (2, 3)])
+        want = build_matrix(*args, q)
+        assert np.array_equal(build_matrix(*args, np.int64(q)), want)
+        assert interpolation_rank(*args, np.int64(q)) == interpolation_rank(*args, q) == 4
+        assert calls == [7, q]
+        for p in (7.0, float(q)):
+            with pytest.raises(TypeError):
+                rank([[1, 2], [3, 4]], p)
+            with pytest.raises(TypeError):
+                build_matrix(*args, p)
+            with pytest.raises(TypeError):
+                interpolation_rank(*args, p)
 
     def test_small_primes_are_fields(self):
         assert rank([[2, 0], [0, 1]], 7) == 2
@@ -625,6 +664,122 @@ class TestFamilyTraffic:
         assert np.array_equal(A, before)
 
 
+def _single_cycle(m, n, seed):
+    """m x n residues, m <= n, whose row i has its first nonzero entry in
+    column (i + 1) % m: sorting the rows is one cycle through all m."""
+    A = np.random.default_rng(seed).integers(1, P, size=(m, n), dtype=np.int64)
+    for i in range(m):
+        A[i, :(i + 1) % m] = 0
+    return A
+
+
+def _upper_triangular(m, n, seed):
+    """Random residues on and above a nonzero diagonal: rows already sorted."""
+    A = np.triu(np.random.default_rng(seed).integers(0, P, size=(m, n), dtype=np.int64))
+    A[np.arange(min(m, n)), np.arange(min(m, n))] = 1
+    return A
+
+
+class TestRankInPlace:
+    """``overwrite=True``: the kernel sorts, reduces and eliminates a
+    matrix of more than 2·CHUNK rows in place, and copies a smaller one;
+    either way the rank is that of a copy.  With CHUNK = 2 every matrix
+    of five rows or more takes the in-place path."""
+
+    @pytest.mark.parametrize("order", [
+        [0, 1, 2, 3, 4, 5],  # identity
+        [5, 0, 1, 2, 3, 4],  # one long cycle
+        [1, 0, 3, 2, 5, 4],  # three transpositions
+        [2, 0, 1, 3, 5, 4],  # a 3-cycle, a fixed point and a transposition
+    ])
+    def test_permute_rows(self, order):
+        A = np.arange(6 * 7, dtype=np.int64).reshape(6, 7)
+        want = A[order]
+        _gauss._permute_rows(A, order)
+        assert np.array_equal(A, want)
+
+    def test_permute_rows_random(self):
+        rng = np.random.default_rng(2)
+        for m in (1, 2, 17, 200):
+            A = rng.integers(0, P, size=(m, 5), dtype=np.int64)
+            order = rng.permutation(m).tolist()
+            want = A[order]
+            _gauss._permute_rows(A, order)
+            assert np.array_equal(A, want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.random.default_rng(1).integers(0, P, size=(W + 9, W + 5), dtype=np.int64),
+        lambda: np.random.default_rng(2).integers(0, P, size=(3 * W, 2 * W + 1), dtype=np.int64),
+        lambda: _random_deficient(2 * W + 3, 2 * W + 1, seed=3),
+        lambda: _random_deficient(W + 2, 3 * W, seed=4),
+        lambda: _upper_triangular(2 * W + 5, 2 * W + 5, seed=5),  # identity order
+        lambda: _upper_triangular(W + 3, 2 * W, seed=6),
+        lambda: _single_cycle(2 * W + 7, 2 * W + 9, seed=7),
+        lambda: _single_cycle(9, 9, seed=8),
+        lambda: np.random.default_rng(9).integers(0, P, size=(1, 2 * W + 1), dtype=np.int64),
+        lambda: np.array([[0, 0, 3, P + 1]], dtype=np.int64),  # a single row
+        lambda: _random_deficient(W + 5, W + 3, seed=10)
+        + P * np.random.default_rng(11).integers(-3, 4, size=(W + 5, W + 3)),
+        lambda: np.zeros((5, 0), dtype=np.int64),
+    ], ids=["full-square", "full-tall", "deficient-tall", "deficient-wide",
+            "sorted", "sorted-wide", "one-cycle", "one-cycle-small", "one-row",
+            "one-row-short", "outside-0-p", "no-columns"])
+    @pytest.mark.parametrize("chunk", [2, CHUNK])
+    def test_matches_copy(self, monkeypatch, make, chunk):
+        monkeypatch.setattr(_gauss, "CHUNK", chunk)
+        A = make()
+        want = rank(A.copy(), P)
+        assert want == _rank_mod_p_scalar(A.copy(), P)
+        assert rank(A, P, overwrite=True) == want
+
+    @pytest.mark.parametrize("chunk", [2, CHUNK])
+    def test_family_matrices(self, monkeypatch, family_matrices, chunk):
+        monkeypatch.setattr(_gauss, "CHUNK", chunk)
+        for M in family_matrices:
+            A = M.copy()
+            assert rank(A, P, overwrite=True) == rank(M.copy(), P) == min(M.shape)
+            # worked in place past 2·CHUNK rows, in a copy below
+            assert np.array_equal(A, M) == (len(M) <= 2 * chunk)
+
+    def test_holds_no_second_matrix(self):
+        # its rows are sorted along one cycle through all of them
+        A = _single_cycle(6 * CHUNK, 6 * CHUNK, seed=12)
+        want = rank(A.copy(), P)
+        rank(A[:9].copy(), P)  # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            assert rank(A, P, overwrite=True) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the kernel's own temporaries: a trailing update's CHUNK rows of
+        # float64 and int64, and the sort key's booleans
+        assert peak < 0.75 * A.nbytes
+
+    def test_certificate_peak_within_two_matrices(self, monkeypatch):
+        # L(37; 12, 10^12), the ledger's largest rank: the built matrix is
+        # the one matrix-sized array held while it is built and eliminated
+        sizes = []
+
+        def recording(*args, **kw):
+            A = build_matrix(*args, **kw)
+            sizes.append(A.nbytes)
+            return A
+
+        monkeypatch.setattr(fplinalg, "build_matrix", recording)
+        classify(parse_system("L(4;2^5)"), EngineConfig(stages=("rank",)))  # numpy's first use
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            v = classify(parse_system("L(37;12,10^12)"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.kind, v.dim) == (NON_SPECIAL, 2)
+        assert max(sizes) == 550 * 553 * 8
+        assert peak <= 2 * max(sizes)
+
+
 def _random_down_closed(rng, nlayers):
     """A random down-closed diagram: a layer may be anything after a full
     one, and no longer than the one before otherwise."""
@@ -657,12 +812,13 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def ranked(monkeypatch):
-    """Record the shape of every matrix passed to rank."""
+    """Record the shape of every matrix passed to rank, before the call,
+    and forward rank's keywords."""
     seen = []
 
-    def recording(A, p):
+    def recording(A, p, **kw):
         seen.append(A.shape)
-        return rank(A, p)
+        return rank(A, p, **kw)
 
     monkeypatch.setattr(fplinalg, "rank", recording)
     return seen
