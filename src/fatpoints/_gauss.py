@@ -5,13 +5,11 @@ The kernel puts the rows in order of their first nonzero column and
 reduces them mod p. The rank does not depend on the row order, and on
 interpolation matrices this order puts a usable pivot at the top of most
 columns, so few pivots need a row swap. By default it works on a sorted,
-reduced copy and leaves its argument as it is. With ``overwrite`` a
-matrix of more than 2·CHUNK rows is the working storage: its rows are
-sorted in place, along the cycles of the sorting permutation with one
-saved row per cycle, and it is reduced and eliminated in place, so the
-call holds no second matrix-sized array. A smaller one is still copied,
-as moving its rows one at a time costs more than the copy, which is no
-larger than the temporaries of a trailing update below.
+reduced copy and leaves its argument as it is. With ``overwrite`` the
+argument is the working storage: its rows are sorted in place, along
+the cycles of the sorting permutation with one saved row per cycle, and
+it is reduced and eliminated in place, so the call holds no second
+matrix-sized array.
 
 The kernel then walks the columns in panels of PANEL columns. Inside a
 panel it is left-looking and takes one pivot step at a time, of width
@@ -160,7 +158,7 @@ def rank_mod_p(A: np.ndarray, p: int, *, overwrite: bool = False) -> int:
     # the key reads the entries as given: one that is a nonzero multiple
     # of p can only make the order worse, never the rank wrong
     order = np.argsort((A != 0).argmax(axis=1), kind="stable")
-    if overwrite and m > 2 * CHUNK:
+    if overwrite:
         _permute_rows(A, order.tolist())
     else:
         A = A[order]
