@@ -356,8 +356,8 @@ def rank(A: np.ndarray, p: int = DEFAULT_PRIME, *, overwrite: bool = False) -> i
     A is left as it is, and the kernel works on a sorted, reduced copy.
     With ``overwrite`` (scipy's ``overwrite_a``), an int64 ndarray A is
     the kernel's working storage instead, so the call holds no second
-    copy of it; A's entries are then left undefined.  Any other A is converted to int64 first, so only the
-    converted copy changes.
+    copy of it; A's entries are then left undefined.  Any other A is
+    converted to int64 first, so only the converted copy changes.
     """
     import numpy as np
 
